@@ -325,35 +325,16 @@ impl Transaction {
     /// Transactional read: the transaction's own buffered writes win
     /// (read-your-own-writes); otherwise the newest version at the
     /// transaction's snapshot is fetched from the store. Tombstones and
-    /// missing cells both read as `Ok(None)`.
+    /// missing cells both read as `Ok(None)`. A one-cell
+    /// [`Transaction::multi_get`].
     pub fn get(
         &self,
         row: impl Into<Bytes>,
         column: impl Into<Bytes>,
         done: impl FnOnce(Result<Option<Bytes>, TxnError>) + 'static,
     ) {
-        if let Some(e) = self.state_err() {
-            self.fail(e, done);
-            return;
-        }
-        let row = row.into();
-        let column = column.into();
-        let start_ts = {
-            let active = self.inner.active.borrow();
-            let at = &active[&self.id];
-            if let Some(kind) = at.write_set.get(&row, &column) {
-                let value = match kind {
-                    MutationKind::Put(v) => Some(v.clone()),
-                    MutationKind::Delete => None,
-                };
-                let sim = self.inner.sim.clone();
-                sim.schedule_in(SimDuration::ZERO, move || done(Ok(value)));
-                return;
-            }
-            at.start_ts
-        };
-        self.inner.store.get(row, column, start_ts, move |vv| {
-            done(Ok(vv.and_then(|v| v.value)));
+        self.multi_get(vec![(row.into(), column.into())], move |values| {
+            done(values.map(|mut v| v.pop().flatten()))
         });
     }
 
@@ -757,7 +738,8 @@ impl TransactionalClient {
     }
 
     /// Registers this client's transaction counters with `registry`
-    /// under `txn.*{client=<id>}`.
+    /// under `txn.*{client=<id>}`, and its store client's request
+    /// counters under `store_client.*{client=<id>}`.
     pub fn register_metrics(&self, registry: &MetricsRegistry) {
         let cid = self.inner.id.to_string();
         let labels: &[(&str, &str)] = &[("client", cid.as_str())];
@@ -766,6 +748,7 @@ impl TransactionalClient {
         registry.register_counter("txn.flushed", labels, &self.inner.flushed);
         registry.register_counter("txn.alerts", labels, &self.inner.alerts);
         registry.register_counter("txn.conflict_retries", labels, &self.inner.conflict_retries);
+        self.inner.store.register_metrics(registry, labels);
     }
 
     /// The node the client runs on.

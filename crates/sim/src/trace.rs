@@ -36,7 +36,7 @@ pub struct JournalEntry {
     /// Global append order (monotonic across all kinds); breaks ties
     /// between records appended in the same simulation instant.
     pub seq: u64,
-    /// Record kind, e.g. `"rpc.get"` or `"split.applied"` — a static
+    /// Record kind, e.g. `"rpc.put"` or `"split.applied"` — a static
     /// taxonomy so per-kind counting needs no allocation.
     pub kind: &'static str,
     /// Free-form `key=value` detail (deterministic content only).

@@ -5,17 +5,25 @@
 //! interrupted flush keeps retrying until the affected region comes back
 //! online (§3.2): "we work around this by removing the retry and timeout
 //! limits so that the client keeps retrying until it succeeds."
-//! [`StoreClient::get`], [`StoreClient::multi_get`], [`StoreClient::scan`]
-//! and [`StoreClient::multi_put`] therefore retry forever; their callbacks
-//! fire exactly once, on success. Scans additionally continue across
-//! region boundaries, walking regions in key order one leg at a time.
+//! [`StoreClient::multi_get`], [`StoreClient::scan`] and
+//! [`StoreClient::multi_put`] therefore retry forever; their callbacks
+//! fire exactly once, on success. A [`StoreClient::get`] is a one-cell
+//! `multi_get`. Scans additionally continue across region boundaries,
+//! walking regions in key order one leg at a time.
+//!
+//! Every request — a put batch, a per-region read group, a scan leg —
+//! goes through one request loop: route by the cached region map, send,
+//! arm the timeout; on an error reply, a timeout or no routable server,
+//! refresh the map, back off and re-issue.
 
+use crate::error::StoreError;
 use crate::master::{Master, ServerDirectory};
 use crate::memstore::VersionedValue;
 use crate::region::RegionMap;
-use crate::types::{Mutation, RegionId, Timestamp, WriteSet};
+use crate::server::{RegionServer, ScanPage};
+use crate::types::{Mutation, RegionId, ServerId, Timestamp, WriteSet};
 use bytes::Bytes;
-use cumulo_sim::metrics::Counter;
+use cumulo_sim::metrics::{Counter, MetricsRegistry};
 use cumulo_sim::{Network, NodeId, Sim, SimDuration};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -78,7 +86,6 @@ struct Inner {
     gets_ok: Counter,
     puts_ok: Counter,
     multi_get_rpcs: Counter,
-    multi_gets_ok: Counter,
     scan_leg_rpcs: Counter,
     scans_ok: Counter,
     refresh_skips: Counter,
@@ -125,7 +132,6 @@ impl StoreClient {
                 gets_ok: Counter::new(),
                 puts_ok: Counter::new(),
                 multi_get_rpcs: Counter::new(),
-                multi_gets_ok: Counter::new(),
                 scan_leg_rpcs: Counter::new(),
                 scans_ok: Counter::new(),
                 refresh_skips: Counter::new(),
@@ -138,9 +144,9 @@ impl StoreClient {
         self.inner.from
     }
 
-    /// Reads the newest version of `(row, column)` visible at `snapshot`.
-    /// Retries (with location refresh) until it succeeds; `done` fires
-    /// exactly once.
+    /// Reads the newest version of `(row, column)` visible at `snapshot`:
+    /// a one-cell [`StoreClient::multi_get`]. Retries (with location
+    /// refresh) until it succeeds; `done` fires exactly once.
     pub fn get(
         &self,
         row: Bytes,
@@ -148,14 +154,9 @@ impl StoreClient {
         snapshot: Timestamp,
         done: impl FnOnce(Option<VersionedValue>) + 'static,
     ) {
-        get_attempt(
-            Rc::clone(&self.inner),
-            row,
-            column,
-            snapshot,
-            0,
-            Box::new(done),
-        );
+        self.multi_get(vec![(row, column)], snapshot, move |mut values| {
+            done(values.pop().flatten())
+        });
     }
 
     /// Flushes one transaction's mutations for one region to its hosting
@@ -187,11 +188,10 @@ impl StoreClient {
     /// `(row, column)` in `cells` visible at `snapshot`, issuing **one
     /// RPC per region** (cells are grouped by the cached region map,
     /// mirroring [`StoreClient::group_write_set`] on the write path).
-    /// Results are returned in input order; each entry is exactly what
-    /// [`StoreClient::get`] would have returned for that cell. Groups
-    /// retry independently (with location refresh and re-grouping after
-    /// an online split) until every cell is served; `done` fires exactly
-    /// once, on success of the whole batch.
+    /// Results are returned in input order. Groups retry independently
+    /// (with location refresh and re-grouping after an online split)
+    /// until every cell is served; `done` fires exactly once, on success
+    /// of the whole batch.
     pub fn multi_get(
         &self,
         cells: Vec<(Bytes, Bytes)>,
@@ -209,18 +209,10 @@ impl StoreClient {
             remaining: Cell::new(n),
             done: RefCell::new(Some(Box::new(done))),
         });
-        let groups: BTreeMap<RegionId, Vec<(usize, Bytes, Bytes)>> = {
-            let map = self.inner.map.borrow();
-            let mut g: BTreeMap<RegionId, Vec<(usize, Bytes, Bytes)>> = BTreeMap::new();
-            for (i, (row, column)) in cells.into_iter().enumerate() {
-                g.entry(map.region_for(&row))
-                    .or_default()
-                    .push((i, row, column));
-            }
-            g
-        };
+        let cells = cells.into_iter().enumerate().map(|(i, (r, c))| (i, r, c));
+        let groups = group_by_region(&self.inner.map.borrow(), cells, |(_, row, _)| row);
         for (region, group) in groups {
-            multi_get_attempt(
+            read_attempt(
                 Rc::clone(&self.inner),
                 region,
                 group,
@@ -256,16 +248,13 @@ impl StoreClient {
         limit: usize,
         done: impl FnOnce(Vec<(Bytes, Bytes, VersionedValue)>) + 'static,
     ) {
-        scan_leg(
-            Rc::clone(&self.inner),
-            start,
+        let scan = Scan {
             end,
             snapshot,
-            limit,
-            Vec::new(),
-            0,
-            Box::new(done),
-        );
+            acc: Vec::new(),
+            done: Box::new(done),
+        };
+        scan_leg(Rc::clone(&self.inner), start, limit, scan, 0);
     }
 
     /// Splits a write-set by destination region using the cached map.
@@ -274,14 +263,8 @@ impl StoreClient {
     /// split-away region id and [`StoreClient::multi_put`] re-groups by
     /// the refreshed map before retrying.
     pub fn group_write_set(&self, ws: &WriteSet) -> BTreeMap<RegionId, Vec<Mutation>> {
-        let map = self.inner.map.borrow();
-        let mut out: BTreeMap<RegionId, Vec<Mutation>> = BTreeMap::new();
-        for m in &ws.mutations {
-            out.entry(map.region_for(&m.row))
-                .or_default()
-                .push(m.clone());
-        }
-        out
+        let mutations = ws.mutations.iter().cloned();
+        group_by_region(&self.inner.map.borrow(), mutations, |m| &m.row)
     }
 
     /// The region containing `row` (static boundary lookup).
@@ -296,27 +279,41 @@ impl StoreClient {
         *self.inner.map.borrow_mut() = self.inner.master.snapshot_map();
     }
 
+    /// Adopts this client's request counters into `registry` under
+    /// `store_client.*{labels}`. Cluster wiring; call once per client.
+    pub fn register_metrics(&self, registry: &MetricsRegistry, labels: &[(&str, &str)]) {
+        let i = &self.inner;
+        for (name, counter) in [
+            ("store_client.retries", &i.retries),
+            ("store_client.gets_ok", &i.gets_ok),
+            ("store_client.puts_ok", &i.puts_ok),
+            ("store_client.multi_get_rpcs", &i.multi_get_rpcs),
+            ("store_client.scan_leg_rpcs", &i.scan_leg_rpcs),
+            ("store_client.scans_ok", &i.scans_ok),
+            ("store_client.refresh_skips", &i.refresh_skips),
+        ] {
+            registry.register_counter(name, labels, counter);
+        }
+    }
+
     /// Total request retries performed (timeouts + not-serving).
     pub fn retry_count(&self) -> u64 {
         self.inner.retries.get()
     }
 
-    /// Successful gets.
+    /// Cells read successfully (a get is one cell; a batched read counts
+    /// every cell of each served group).
     pub fn gets_ok(&self) -> u64 {
         self.inner.gets_ok.get()
     }
 
-    /// Batched-read RPCs issued to region servers (one per region per
-    /// [`StoreClient::multi_get`] in the failure-free case; retries and
-    /// post-split re-groups add more). The acceptance counter for "N
-    /// cells spanning R regions cost exactly R round trips".
+    /// Read RPCs issued to region servers: one per region per
+    /// [`StoreClient::multi_get`] (so one per [`StoreClient::get`]) in
+    /// the failure-free case; retries and post-split re-groups add more.
+    /// The acceptance counter for "N cells spanning R regions cost
+    /// exactly R round trips".
     pub fn multi_get_rpcs(&self) -> u64 {
         self.inner.multi_get_rpcs.get()
-    }
-
-    /// Per-region batched-read RPCs answered successfully.
-    pub fn multi_gets_ok(&self) -> u64 {
-        self.inner.multi_gets_ok.get()
     }
 
     /// Acknowledged multi-puts.
@@ -340,6 +337,22 @@ impl StoreClient {
     pub fn refresh_skips(&self) -> u64 {
         self.inner.refresh_skips.get()
     }
+}
+
+/// Groups `items` by the region `map` routes each item's row to.
+fn group_by_region<T>(
+    map: &RegionMap,
+    items: impl IntoIterator<Item = T>,
+    row: impl Fn(&T) -> &Bytes,
+) -> BTreeMap<RegionId, Vec<T>> {
+    let mut groups: BTreeMap<RegionId, Vec<T>> = BTreeMap::new();
+    for item in items {
+        groups
+            .entry(map.region_for(row(&item)))
+            .or_default()
+            .push(item);
+    }
+    groups
 }
 
 fn backoff(inner: &Inner, attempt: u32) -> SimDuration {
@@ -394,93 +407,83 @@ fn refresh_map(inner: &Rc<Inner>, observed_epoch: u64) {
     });
 }
 
-fn get_attempt(
+/// What a request does once it is settled: `Some(reply)` when served,
+/// `None` when it must be re-issued (the backoff has already elapsed).
+type Then<R> = Box<dyn FnOnce(Rc<Inner>, Option<R>)>;
+
+/// The server side of one request: calls the region server's handler
+/// and answers `reply` with the reply's wire size and the result.
+type Reply<R> = Box<dyn FnOnce(usize, Result<R, StoreError>)>;
+
+/// The one request loop behind put batches, read groups and scan legs
+/// (paper §3.2: retry until success). Routes by the cached map, sends
+/// `size` bytes (counting the send in `sends`), and arms the request
+/// timeout. The first of reply and timeout settles the request: a
+/// served reply hands `then` the result; an error reply, a timeout, or
+/// no routable server in the first place goes to [`retry`]. `then`
+/// re-issues at `attempt + 1` — re-grouping first if the map moved.
+fn call<R: 'static>(
     inner: Rc<Inner>,
-    row: Bytes,
-    column: Bytes,
-    snapshot: Timestamp,
     attempt: u32,
-    done: Box<dyn FnOnce(Option<VersionedValue>)>,
+    route: impl FnOnce(&RegionMap) -> Option<ServerId>,
+    size: usize,
+    sends: Option<&Counter>,
+    serve: impl FnOnce(&Rc<RegionServer>, Reply<R>) + 'static,
+    then: impl FnOnce(Rc<Inner>, Option<R>) + 'static,
 ) {
     if !inner.net.is_alive(inner.from) {
         return; // the client process is dead; drop the retry chain
     }
     let (routed_epoch, server) = {
         let map = inner.map.borrow();
-        (map.epoch(), map.locate(&row).1)
+        (map.epoch(), route(&map))
     };
-    let server = server.and_then(|s| inner.dir.get(s));
-    let Some(server) = server else {
-        refresh_map(&inner, routed_epoch);
-        let wait = backoff(&inner, attempt);
-        let inner2 = Rc::clone(&inner);
-        inner.retries.inc();
-        inner.sim.schedule_in(wait, move || {
-            get_attempt(inner2, row, column, snapshot, attempt + 1, done)
-        });
+    let Some(server) = server.and_then(|s| inner.dir.get(s)) else {
+        retry(inner, routed_epoch, attempt, Box::new(then));
         return;
     };
-    let settled = Rc::new(Cell::new(false));
-    let done_cell: Rc<RefCell<Option<Box<dyn FnOnce(Option<VersionedValue>)>>>> =
-        Rc::new(RefCell::new(Some(done)));
-    let server_node = server.node();
-    let from = inner.from;
-    let net_back = Rc::clone(&inner.net);
+    if let Some(sends) = sends {
+        sends.inc();
+    }
+    let pending: Rc<RefCell<Option<Then<R>>>> = Rc::new(RefCell::new(Some(Box::new(then))));
+    let (from, to) = (inner.from, server.node());
     {
-        let inner = Rc::clone(&inner);
-        let settled = Rc::clone(&settled);
-        let done_cell = Rc::clone(&done_cell);
-        let (row2, col2) = (row.clone(), column.clone());
-        inner.net.clone().send(
-            from,
-            server_node,
-            64 + row.len() + column.len(),
-            move || {
-                let server2 = Rc::clone(&server);
-                let net_back = Rc::clone(&net_back);
-                server2.handle_get(row2.clone(), col2.clone(), snapshot, move |result| {
-                    net_back.send(server_node, from, 96, move || {
-                        if settled.get() {
-                            return;
-                        }
-                        settled.set(true);
-                        let done = done_cell.borrow_mut().take().expect("settled guards");
-                        match result {
-                            Ok(v) => {
-                                inner.gets_ok.inc();
-                                done(v);
-                            }
-                            Err(_) => {
-                                // NotServing / unavailable: refresh and retry.
-                                inner.retries.inc();
-                                refresh_map(&inner, routed_epoch);
-                                let wait = backoff(&inner, attempt);
-                                let inner2 = Rc::clone(&inner);
-                                inner.sim.schedule_in(wait, move || {
-                                    get_attempt(inner2, row2, col2, snapshot, attempt + 1, done)
-                                });
-                            }
-                        }
-                    });
+        let inner2 = Rc::clone(&inner);
+        let pending = Rc::clone(&pending);
+        let net = Rc::clone(&inner.net);
+        inner.net.send(from, to, size, move || {
+            let reply: Reply<R> = Box::new(move |size, result| {
+                net.send(to, from, size, move || {
+                    let Some(then) = pending.borrow_mut().take() else {
+                        return;
+                    };
+                    match result {
+                        Ok(reply) => then(inner2, Some(reply)),
+                        Err(_) => retry(inner2, routed_epoch, attempt, then),
+                    }
                 });
-            },
-        );
+            });
+            serve(&server, reply);
+        });
     }
     let inner2 = Rc::clone(&inner);
     inner.sim.schedule_in(inner.cfg.request_timeout, move || {
-        if settled.get() {
-            return;
+        let then = pending.borrow_mut().take();
+        if let Some(then) = then {
+            retry(inner2, routed_epoch, attempt, then);
         }
-        settled.set(true);
-        let done = done_cell.borrow_mut().take().expect("settled guards");
-        inner2.retries.inc();
-        refresh_map(&inner2, routed_epoch);
-        let wait = backoff(&inner2, attempt);
-        let inner3 = Rc::clone(&inner2);
-        inner2.sim.schedule_in(wait, move || {
-            get_attempt(inner3, row, column, snapshot, attempt + 1, done)
-        });
     });
+}
+
+/// Counts a retry, refreshes the map, draws the backoff (in that order:
+/// the refresh's messages precede the jitter draw), then re-enters
+/// `then` with `None` once the backoff has elapsed.
+fn retry<R: 'static>(inner: Rc<Inner>, routed_epoch: u64, attempt: u32, then: Then<R>) {
+    inner.retries.inc();
+    refresh_map(&inner, routed_epoch);
+    let wait = backoff(&inner, attempt);
+    let inner2 = Rc::clone(&inner);
+    inner.sim.schedule_in(wait, move || then(inner2, None));
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -494,9 +497,6 @@ fn put_attempt(
     attempt: u32,
     done: Box<dyn FnOnce()>,
 ) {
-    if !inner.net.is_alive(inner.from) {
-        return; // the client process is dead; drop the retry chain
-    }
     // The addressed region id may have been split away since the batch
     // was grouped (the server answers `WrongRegion` and a map refresh
     // landed): re-group the mutations by the current boundaries and fan
@@ -510,14 +510,7 @@ fn put_attempt(
         !map.regions().is_empty() && map.descriptor(region).is_none()
     };
     if must_regroup {
-        let groups: BTreeMap<RegionId, Vec<Mutation>> = {
-            let map = inner.map.borrow();
-            let mut g: BTreeMap<RegionId, Vec<Mutation>> = BTreeMap::new();
-            for m in mutations {
-                g.entry(map.region_for(&m.row)).or_default().push(m);
-            }
-            g
-        };
+        let groups = group_by_region(&inner.map.borrow(), mutations, |m| &m.row);
         if groups.is_empty() {
             done();
             return;
@@ -546,94 +539,24 @@ fn put_attempt(
         }
         return;
     }
-    let (routed_epoch, server) = {
-        let map = inner.map.borrow();
-        (map.epoch(), map.server_for(region))
-    };
-    let server = server.and_then(|s| inner.dir.get(s));
-    let Some(server) = server else {
-        refresh_map(&inner, routed_epoch);
-        let wait = backoff(&inner, attempt);
-        let inner2 = Rc::clone(&inner);
-        inner.retries.inc();
-        inner.sim.schedule_in(wait, move || {
-            put_attempt(
-                inner2,
-                region,
-                ts,
-                mutations,
-                floor,
-                replay,
-                attempt + 1,
-                done,
-            )
-        });
-        return;
-    };
-    let settled = Rc::new(Cell::new(false));
-    let done_cell: Rc<RefCell<Option<Box<dyn FnOnce()>>>> = Rc::new(RefCell::new(Some(done)));
-    let server_node = server.node();
-    let from = inner.from;
-    let net_back = Rc::clone(&inner.net);
     let size = 64 + mutations.iter().map(Mutation::wire_size).sum::<usize>();
-    {
-        let inner = Rc::clone(&inner);
-        let settled = Rc::clone(&settled);
-        let done_cell = Rc::clone(&done_cell);
-        let mutations2 = mutations.clone();
-        inner.net.clone().send(from, server_node, size, move || {
-            let net_back = Rc::clone(&net_back);
-            let server2 = Rc::clone(&server);
-            let mutations3 = mutations2.clone();
-            server2.handle_multi_put(region, ts, mutations2, floor, replay, move |result| {
-                net_back.send(server_node, from, 48, move || {
-                    if settled.get() {
-                        return;
-                    }
-                    settled.set(true);
-                    let done = done_cell.borrow_mut().take().expect("settled guards");
-                    match result {
-                        Ok(()) => {
-                            inner.puts_ok.inc();
-                            done();
-                        }
-                        Err(_) => {
-                            inner.retries.inc();
-                            refresh_map(&inner, routed_epoch);
-                            let wait = backoff(&inner, attempt);
-                            let inner2 = Rc::clone(&inner);
-                            inner.sim.schedule_in(wait, move || {
-                                put_attempt(
-                                    inner2,
-                                    region,
-                                    ts,
-                                    mutations3,
-                                    floor,
-                                    replay,
-                                    attempt + 1,
-                                    done,
-                                )
-                            });
-                        }
-                    }
-                });
-            });
-        });
-    }
-    let inner2 = Rc::clone(&inner);
-    inner.sim.schedule_in(inner.cfg.request_timeout, move || {
-        if settled.get() {
-            return;
-        }
-        settled.set(true);
-        let done = done_cell.borrow_mut().take().expect("settled guards");
-        inner2.retries.inc();
-        refresh_map(&inner2, routed_epoch);
-        let wait = backoff(&inner2, attempt);
-        let inner3 = Rc::clone(&inner2);
-        inner2.sim.schedule_in(wait, move || {
-            put_attempt(
-                inner3,
+    let sent = mutations.clone();
+    call(
+        inner,
+        attempt,
+        |map| map.server_for(region),
+        size,
+        None,
+        move |server, reply| {
+            server.handle_multi_put(region, ts, sent, floor, replay, move |r| reply(48, r))
+        },
+        move |inner, served| match served {
+            Some(()) => {
+                inner.puts_ok.inc();
+                done();
+            }
+            None => put_attempt(
+                inner,
                 region,
                 ts,
                 mutations,
@@ -641,9 +564,9 @@ fn put_attempt(
                 replay,
                 attempt + 1,
                 done,
-            )
-        });
-    });
+            ),
+        },
+    );
 }
 
 /// Shared completion state of one [`StoreClient::multi_get`]: per-region
@@ -655,7 +578,11 @@ struct MultiGetCtx {
     done: RefCell<Option<Box<dyn FnOnce(Vec<Option<VersionedValue>>)>>>,
 }
 
-fn multi_get_attempt(
+/// One per-region group of a [`StoreClient::multi_get`] (`(input index,
+/// row, column)` per cell), sent as one read RPC. Request
+/// `56 + Σ(8 + |row| + |column|)` bytes, reply `32 + 64·cells` whether
+/// served or bounced.
+fn read_attempt(
     inner: Rc<Inner>,
     region: RegionId,
     group: Vec<(usize, Bytes, Bytes)>,
@@ -663,9 +590,6 @@ fn multi_get_attempt(
     attempt: u32,
     ctx: Rc<MultiGetCtx>,
 ) {
-    if !inner.net.is_alive(inner.from) {
-        return; // the client process is dead; drop the retry chain
-    }
     // The addressed region id may have been split away since the batch
     // was grouped: re-group this group's cells by the current boundaries
     // and fan out to the daughters (same self-healing as `put_attempt`).
@@ -674,18 +598,9 @@ fn multi_get_attempt(
         !map.regions().is_empty() && map.descriptor(region).is_none()
     };
     if must_regroup {
-        let groups: BTreeMap<RegionId, Vec<(usize, Bytes, Bytes)>> = {
-            let map = inner.map.borrow();
-            let mut g: BTreeMap<RegionId, Vec<(usize, Bytes, Bytes)>> = BTreeMap::new();
-            for (i, row, column) in group {
-                g.entry(map.region_for(&row))
-                    .or_default()
-                    .push((i, row, column));
-            }
-            g
-        };
+        let groups = group_by_region(&inner.map.borrow(), group, |(_, row, _)| row);
         for (sub_region, sub) in groups {
-            multi_get_attempt(
+            read_attempt(
                 Rc::clone(&inner),
                 sub_region,
                 sub,
@@ -696,91 +611,34 @@ fn multi_get_attempt(
         }
         return;
     }
-    let (routed_epoch, server) = {
-        let map = inner.map.borrow();
-        (map.epoch(), map.server_for(region))
-    };
-    let server = server.and_then(|s| inner.dir.get(s));
-    let Some(server) = server else {
-        refresh_map(&inner, routed_epoch);
-        let wait = backoff(&inner, attempt);
-        let inner2 = Rc::clone(&inner);
-        inner.retries.inc();
-        inner.sim.schedule_in(wait, move || {
-            multi_get_attempt(inner2, region, group, snapshot, attempt + 1, ctx)
-        });
-        return;
-    };
-    let settled = Rc::new(Cell::new(false));
-    let server_node = server.node();
-    let from = inner.from;
-    let net_back = Rc::clone(&inner.net);
-    let size = 64
-        + group
+    let cells: Vec<(Bytes, Bytes)> = group
+        .iter()
+        .map(|(_, r, c)| (r.clone(), c.clone()))
+        .collect();
+    let size = 56
+        + cells
             .iter()
-            .map(|(_, r, c)| 8 + r.len() + c.len())
+            .map(|(r, c)| 8 + r.len() + c.len())
             .sum::<usize>();
-    inner.multi_get_rpcs.inc();
-    {
-        let inner = Rc::clone(&inner);
-        let settled = Rc::clone(&settled);
-        let ctx = Rc::clone(&ctx);
-        let group2 = group.clone();
-        inner.net.clone().send(from, server_node, size, move || {
-            let net_back = Rc::clone(&net_back);
-            let server2 = Rc::clone(&server);
-            let cells: Vec<(Bytes, Bytes)> = group2
-                .iter()
-                .map(|(_, r, c)| (r.clone(), c.clone()))
-                .collect();
-            let group3 = group2.clone();
-            server2.handle_multi_get(region, cells, snapshot, move |result| {
-                let size = 48 + result.as_ref().map(|v| v.len() * 64).unwrap_or(0);
-                net_back.send(server_node, from, size, move || {
-                    if settled.get() {
-                        return;
-                    }
-                    settled.set(true);
-                    match result {
-                        Ok(values) => {
-                            inner.multi_gets_ok.inc();
-                            complete_multi_get_group(&ctx, &group3, values);
-                        }
-                        Err(_) => {
-                            inner.retries.inc();
-                            refresh_map(&inner, routed_epoch);
-                            let wait = backoff(&inner, attempt);
-                            let inner2 = Rc::clone(&inner);
-                            inner.sim.schedule_in(wait, move || {
-                                multi_get_attempt(
-                                    inner2,
-                                    region,
-                                    group3,
-                                    snapshot,
-                                    attempt + 1,
-                                    ctx,
-                                )
-                            });
-                        }
-                    }
-                });
-            });
-        });
-    }
-    let inner2 = Rc::clone(&inner);
-    inner.sim.schedule_in(inner.cfg.request_timeout, move || {
-        if settled.get() {
-            return;
-        }
-        settled.set(true);
-        inner2.retries.inc();
-        refresh_map(&inner2, routed_epoch);
-        let wait = backoff(&inner2, attempt);
-        let inner3 = Rc::clone(&inner2);
-        inner2.sim.schedule_in(wait, move || {
-            multi_get_attempt(inner3, region, group, snapshot, attempt + 1, ctx)
-        });
-    });
+    let reply_size = 32 + 64 * cells.len();
+    let sends = inner.multi_get_rpcs.clone();
+    call(
+        inner,
+        attempt,
+        |map| map.server_for(region),
+        size,
+        Some(&sends),
+        move |server, reply| {
+            server.handle_multi_get(cells, snapshot, move |r| reply(reply_size, r))
+        },
+        move |inner, served| match served {
+            Some(values) => {
+                inner.gets_ok.add(group.len() as u64);
+                complete_multi_get_group(&ctx, &group, values);
+            }
+            None => read_attempt(inner, region, group, snapshot, attempt + 1, ctx),
+        },
+    );
 }
 
 /// Writes one served group's values into the batch result (input order)
@@ -804,165 +662,64 @@ fn complete_multi_get_group(
     }
 }
 
-/// In-flight state of a cross-region scan: the cells accumulated by the
-/// legs served so far plus the caller's completion. Travels intact
+/// A cross-region scan in flight: its bounds, the cells accumulated by
+/// the legs served so far, and the caller's completion. Travels intact
 /// through leg retries — only a *served* page ever extends it.
-struct ScanState {
+struct Scan {
+    end: Option<Bytes>,
+    snapshot: Timestamp,
     acc: Vec<(Bytes, Bytes, VersionedValue)>,
     done: Box<dyn FnOnce(Vec<(Bytes, Bytes, VersionedValue)>)>,
 }
 
 /// One continuation leg of a cross-region scan: asks the region hosting
 /// `cursor` for up to `remaining` cells of `[cursor, end)`, then either
-/// completes the scan or recurses at the served region's end bound (see
-/// [`crate::ScanPage`]). Errors and timeouts retry the *same* leg —
+/// completes the scan or continues at the served region's end bound
+/// (see [`crate::ScanPage`]). Errors and timeouts retry the *same* leg —
 /// same cursor, same remaining budget, accumulated cells untouched —
 /// after a map refresh, so a split, merge, move or failover landing
 /// mid-scan cannot drop or duplicate cells: the cursor only ever
 /// advances to a bound some server actually served through.
-#[allow(clippy::too_many_arguments)]
-fn scan_leg(
-    inner: Rc<Inner>,
-    cursor: Bytes,
-    end: Option<Bytes>,
-    snapshot: Timestamp,
-    remaining: usize,
-    acc: Vec<(Bytes, Bytes, VersionedValue)>,
-    attempt: u32,
-    done: Box<dyn FnOnce(Vec<(Bytes, Bytes, VersionedValue)>)>,
-) {
-    if !inner.net.is_alive(inner.from) {
-        return; // the client process is dead; drop the retry chain
-    }
-    let (routed_epoch, server) = {
-        let map = inner.map.borrow();
-        (map.epoch(), map.locate(&cursor).1)
-    };
-    let server = server.and_then(|s| inner.dir.get(s));
-    let Some(server) = server else {
-        refresh_map(&inner, routed_epoch);
-        let wait = backoff(&inner, attempt);
-        let inner2 = Rc::clone(&inner);
-        inner.retries.inc();
-        inner.sim.schedule_in(wait, move || {
-            scan_leg(
-                inner2,
-                cursor,
-                end,
-                snapshot,
-                remaining,
-                acc,
-                attempt + 1,
-                done,
-            )
-        });
-        return;
-    };
-    let settled = Rc::new(Cell::new(false));
-    let state_cell: Rc<RefCell<Option<ScanState>>> =
-        Rc::new(RefCell::new(Some(ScanState { acc, done })));
-    let server_node = server.node();
-    let from = inner.from;
-    let net_back = Rc::clone(&inner.net);
-    inner.scan_leg_rpcs.inc();
-    {
-        let inner = Rc::clone(&inner);
-        let settled = Rc::clone(&settled);
-        let state_cell = Rc::clone(&state_cell);
-        let (cursor2, end2) = (cursor.clone(), end.clone());
-        inner.net.clone().send(from, server_node, 96, move || {
-            let net_back = Rc::clone(&net_back);
-            let server2 = Rc::clone(&server);
-            server2.handle_scan(
-                cursor2.clone(),
-                end2.clone(),
-                snapshot,
-                remaining,
-                move |result| {
-                    let size = 64 + result.as_ref().map(|p| p.cells.len() * 64).unwrap_or(0);
-                    net_back.send(server_node, from, size, move || {
-                        if settled.get() {
-                            return;
-                        }
-                        settled.set(true);
-                        let state = state_cell.borrow_mut().take().expect("settled guards");
-                        match result {
-                            Ok(page) => advance_scan(inner, end2, snapshot, remaining, state, page),
-                            Err(_) => {
-                                inner.retries.inc();
-                                refresh_map(&inner, routed_epoch);
-                                let wait = backoff(&inner, attempt);
-                                let inner2 = Rc::clone(&inner);
-                                inner.sim.schedule_in(wait, move || {
-                                    scan_leg(
-                                        inner2,
-                                        cursor2,
-                                        end2,
-                                        snapshot,
-                                        remaining,
-                                        state.acc,
-                                        attempt + 1,
-                                        state.done,
-                                    )
-                                });
-                            }
-                        }
-                    });
-                },
-            );
-        });
-    }
-    let inner2 = Rc::clone(&inner);
-    inner.sim.schedule_in(inner.cfg.request_timeout, move || {
-        if settled.get() {
-            return;
-        }
-        settled.set(true);
-        let state = state_cell.borrow_mut().take().expect("settled guards");
-        inner2.retries.inc();
-        refresh_map(&inner2, routed_epoch);
-        let wait = backoff(&inner2, attempt);
-        let inner3 = Rc::clone(&inner2);
-        inner2.sim.schedule_in(wait, move || {
-            scan_leg(
-                inner3,
-                cursor,
-                end,
-                snapshot,
-                remaining,
-                state.acc,
-                attempt + 1,
-                state.done,
-            )
-        });
-    });
+fn scan_leg(inner: Rc<Inner>, cursor: Bytes, remaining: usize, scan: Scan, attempt: u32) {
+    let (start, end, snapshot) = (cursor.clone(), scan.end.clone(), scan.snapshot);
+    let row = cursor.clone();
+    let sends = inner.scan_leg_rpcs.clone();
+    call(
+        inner,
+        attempt,
+        |map| map.locate(&row).1,
+        96,
+        Some(&sends),
+        move |server, reply| {
+            server.handle_scan(start, end, snapshot, remaining, move |r| {
+                reply(64 + r.as_ref().map_or(0, |p| p.cells.len() * 64), r)
+            })
+        },
+        move |inner, served| match served {
+            Some(page) => advance_scan(inner, remaining, scan, page),
+            None => scan_leg(inner, cursor, remaining, scan, attempt + 1),
+        },
+    );
 }
 
 /// Completion step of one served scan leg: absorb the page, then finish
 /// — limit filled, table end reached, requested end covered by the
 /// region just served, or continuation disabled (legacy single-region
 /// truncation) — or issue the next leg at the region's end bound.
-fn advance_scan(
-    inner: Rc<Inner>,
-    end: Option<Bytes>,
-    snapshot: Timestamp,
-    remaining: usize,
-    mut state: ScanState,
-    page: crate::server::ScanPage,
-) {
+fn advance_scan(inner: Rc<Inner>, remaining: usize, mut scan: Scan, page: ScanPage) {
     let got = page.cells.len();
-    state.acc.extend(page.cells);
+    scan.acc.extend(page.cells);
     let left = remaining.saturating_sub(got);
-    let covered = match (&page.region_end, &end) {
+    let covered = match (&page.region_end, &scan.end) {
         (None, _) => true,              // the region extends to the table end
         (Some(re), Some(e)) => re >= e, // the requested end is inside the region
         (Some(_), None) => false,       // more table to the right
     };
     if left == 0 || covered || !inner.cfg.cross_region_scans {
         inner.scans_ok.inc();
-        (state.done)(state.acc);
+        (scan.done)(scan.acc);
         return;
     }
     let next = page.region_end.expect("covered handles None");
-    scan_leg(inner, next, end, snapshot, left, state.acc, 0, state.done);
+    scan_leg(inner, next, left, scan, 0);
 }

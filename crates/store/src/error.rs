@@ -13,13 +13,14 @@ pub enum StoreError {
     NotServing(RegionId),
     /// No region containing the requested row is known to the server.
     RegionUnknown,
-    /// The addressed region id no longer exists on this server, but a
-    /// *different* hosted region covers the request's rows — the region
-    /// map changed under the client (an online split). The client must
-    /// refresh its map and re-group the request by the new boundaries;
-    /// retrying with the same region id can never succeed. Both
-    /// region-addressed batch paths (`multi_put` flushes and `multi_get`
-    /// batched reads) self-heal this way.
+    /// The region map changed under the client (an online split): a
+    /// `multi_put` flush addresses a region id that no longer exists on
+    /// this server while a *different* hosted region covers its rows, or
+    /// a read batch has rows outside the region serving its first row.
+    /// The client must refresh its map and re-group the request by the
+    /// new boundaries; retrying it unchanged can never succeed. Both
+    /// batch paths (`multi_put` flushes and `multi_get` reads) self-heal
+    /// this way.
     WrongRegion(RegionId),
     /// Data could not be served because no live filesystem replica holds
     /// the needed store file.

@@ -1133,13 +1133,13 @@ impl RegionServer {
         self.cache.borrow().hit_rate()
     }
 
-    /// Number of gets served (batched reads count one per cell, so the
-    /// per-get filter statistics stay comparable across both paths).
+    /// Number of cells read ([`RegionServer::handle_multi_get`] counts
+    /// one per cell; a lone get is a batch of one).
     pub fn gets_served(&self) -> u64 {
         self.gets.get()
     }
 
-    /// Number of batched-read requests ([`RegionServer::handle_multi_get`]
+    /// Number of read requests ([`RegionServer::handle_multi_get`]
     /// messages) served.
     pub fn multi_gets_served(&self) -> u64 {
         self.multi_gets.get()
@@ -1191,123 +1191,37 @@ impl RegionServer {
     // Request handling (invoked at this node via network events)
     // ------------------------------------------------------------------
 
-    /// Serves a versioned read at `snapshot`.
-    pub fn handle_get(
-        self: &Rc<Self>,
-        row: Bytes,
-        column: Bytes,
-        snapshot: Timestamp,
-        reply: impl FnOnce(Result<Option<VersionedValue>, StoreError>) + 'static,
-    ) {
-        if !self.alive.get() {
-            return;
+    /// The covering-region router shared by reads and scans: picks the
+    /// hosted region serving `rows` by the first row. When more than one
+    /// hosted region transiently covers it (e.g. an offline parent beside
+    /// an online daughter mid-split), the online one wins, tie-broken by
+    /// id — HashMap iteration order must never pick the reply. A later
+    /// row outside the picked region gets `WrongRegion`, so the client
+    /// re-groups by its refreshed map. Every bounce counts in
+    /// `not_serving`.
+    fn route<'a>(&self, mut rows: impl Iterator<Item = &'a [u8]>) -> Result<RegionId, StoreError> {
+        let regions = self.regions.borrow();
+        let first = rows.next().unwrap_or_default();
+        let mut covering: Vec<_> = regions
+            .values()
+            .filter(|st| st.desc.contains(first))
+            .map(|st| (st.desc.id, st.online))
+            .collect();
+        covering.sort_unstable_by_key(|(id, _)| *id);
+        let routed = match covering
+            .iter()
+            .find(|(_, online)| *online)
+            .or_else(|| covering.first())
+        {
+            Some(&(id, true)) if rows.all(|row| regions[&id].desc.contains(row)) => Ok(id),
+            Some(&(id, true)) => Err(StoreError::WrongRegion(id)),
+            Some(&(id, false)) => Err(StoreError::NotServing(id)),
+            None => Err(StoreError::RegionUnknown),
+        };
+        if routed.is_err() {
+            self.not_serving.inc();
         }
-        let region_id = {
-            let regions = self.regions.borrow();
-            // Deterministic choice when more than one hosted region
-            // transiently covers `row` (e.g. an offline parent beside an
-            // online daughter mid-split): prefer the online region,
-            // tie-break by id — HashMap iteration order must never pick
-            // the reply (same policy as `handle_scan`).
-            let mut covering: Vec<_> = regions
-                .values()
-                .filter(|st| st.desc.contains(&row))
-                .map(|st| (st.desc.id, st.online))
-                .collect();
-            covering.sort_unstable_by_key(|(id, _)| *id);
-            match covering
-                .iter()
-                .find(|(_, online)| *online)
-                .or_else(|| covering.first())
-            {
-                Some((id, true)) => *id,
-                Some((id, false)) => {
-                    self.not_serving.inc();
-                    reply(Err(StoreError::NotServing(*id)));
-                    return;
-                }
-                None => {
-                    self.not_serving.inc();
-                    reply(Err(StoreError::RegionUnknown));
-                    return;
-                }
-            }
-        };
-        // Hit/miss and the consulted-file plan are decided up front; they
-        // determine handler occupancy. Key-range pruning is free, each
-        // bloom probe on a range-covering file costs
-        // `filter_probe_service`, and only files the filter cannot
-        // exclude charge the `storefile_read_service` amplification term.
-        let (in_memstore, probes, consulted_files) = {
-            let regions = self.regions.borrow();
-            let st = &regions[&region_id];
-            let bloom = self.bloom_enabled.get();
-            let mut probes = 0u64;
-            let mut consulted = 0usize;
-            for sf in st.flushing.iter().chain(st.storefiles.iter()) {
-                if !sf.row_in_range(&row) {
-                    continue;
-                }
-                if bloom {
-                    probes += 1;
-                    if !sf.filter_may_contain(&row, &column) {
-                        continue;
-                    }
-                }
-                consulted += 1;
-            }
-            (
-                st.memstore.get(&row, &column, snapshot).is_some(),
-                probes,
-                consulted,
-            )
-        };
-        let hit = in_memstore || self.cache.borrow_mut().access(region_id, &row);
-        // Read amplification: every *consulted* store file beyond the
-        // first costs extra handler time. Compaction bounds the file
-        // count; range pruning and bloom filters bound how many of those
-        // files a point get actually consults.
-        let amplification = self.cfg.storefile_read_service
-            * consulted_files.saturating_sub(1) as u64
-            + self.cfg.filter_probe_service * probes;
-        let service = self.cfg.base_service
-            + self.cfg.read_service
-            + amplification
-            + if hit {
-                SimDuration::ZERO
-            } else {
-                self.cfg.block_fetch_penalty
-            };
-        self.charge_region_load(region_id, service);
-        let submitted = self.sim.now();
-        let this = Rc::clone(self);
-        self.handlers.submit(service, move || {
-            if !this.alive.get() {
-                return;
-            }
-            let result = this.lookup(region_id, &row, &column, snapshot);
-            if !hit {
-                this.cache.borrow_mut().insert(region_id, row.clone());
-            }
-            this.gets.inc();
-            // Span: queue wait is everything between submission and
-            // completion that was not this request's own service.
-            let now = this.sim.now();
-            let queue_ns = (now.nanos() - submitted.nanos()).saturating_sub(service.nanos());
-            this.trace.borrow().record(now, "rpc.get", || {
-                format!(
-                    "server={} region={} queue_ns={} service_ns={} files={} probes={} hit={}",
-                    this.id,
-                    region_id,
-                    queue_ns,
-                    service.nanos(),
-                    consulted_files,
-                    probes,
-                    hit
-                )
-            });
-            reply(result);
-        });
+        routed
     }
 
     fn lookup(
@@ -1388,27 +1302,24 @@ impl RegionServer {
         Ok(best)
     }
 
-    /// Serves a batch of point reads for one region in a single message
-    /// round trip (the batched half of the client's `multi_get`).
+    /// Serves point reads at `snapshot` in a single message round trip:
+    /// the one read handler. A lone get is a batch of one cell; the
+    /// client's `multi_get` sends one batch per region. The serving region
+    /// is picked from the cells' rows by the covering-region router
+    /// ([`RegionServer::handle_scan`] shares it), so a batch spanning more
+    /// than one region bounces with [`StoreError::WrongRegion`] and the
+    /// client re-groups by its refreshed map.
     ///
-    /// The whole batch occupies one handler slot for the *sum* of its
-    /// per-cell service: each cell charges the same read service, range
-    /// pruning (free), bloom probes (`filter_probe_service` each) and
-    /// per-consulted-file `storefile_read_service` amplification it
-    /// would have paid as a lone [`RegionServer::handle_get`] — the
-    /// saving is round trips and per-request base cost, not a discount
-    /// on the read work itself. Per-cell [`FilterStats`] accounting is
-    /// identical to the single-get path.
-    ///
-    /// Addressing is by region id (like [`RegionServer::handle_multi_put`]):
-    /// region ids are never reused, so every row grouped under `region`
-    /// by any map epoch lies inside its descriptor. A batch for a
-    /// split-away id gets [`StoreError::WrongRegion`] when another hosted
-    /// region covers its rows, so the client re-groups by its refreshed
-    /// map and retries.
+    /// The batch occupies one handler slot for `base_service` plus the
+    /// *sum* of its per-cell service: read service, range pruning (free),
+    /// bloom probes (`filter_probe_service` each), per-consulted-file
+    /// `storefile_read_service` amplification beyond the first file, and
+    /// `block_fetch_penalty` per distinct uncached row. Batching saves
+    /// round trips and per-request base cost, not read work. The handler
+    /// counts every cell in `gets_served` and caches every fetched block
+    /// whether the lookups succeed or not.
     pub fn handle_multi_get(
         self: &Rc<Self>,
-        region: RegionId,
         cells: Vec<(Bytes, Bytes)>,
         snapshot: Timestamp,
         reply: impl FnOnce(Result<Vec<Option<VersionedValue>>, StoreError>) + 'static,
@@ -1416,34 +1327,17 @@ impl RegionServer {
         if !self.alive.get() {
             return;
         }
-        {
-            let regions = self.regions.borrow();
-            match regions.get(&region) {
-                None => {
-                    self.not_serving.inc();
-                    let covered = cells
-                        .first()
-                        .map(|(row, _)| regions.values().any(|st| st.desc.contains(row)))
-                        .unwrap_or(false);
-                    reply(Err(if covered {
-                        StoreError::WrongRegion(region)
-                    } else {
-                        StoreError::NotServing(region)
-                    }));
-                    return;
-                }
-                Some(st) if !st.online => {
-                    self.not_serving.inc();
-                    reply(Err(StoreError::NotServing(region)));
-                    return;
-                }
-                Some(_) => {}
+        let region = match self.route(cells.iter().map(|(row, _)| &row[..])) {
+            Ok(region) => region,
+            Err(e) => {
+                reply(Err(e));
+                return;
             }
-        }
+        };
         // Per-cell consulted-file plan and cache hit/miss, decided up
-        // front exactly like `handle_get`; the batch's handler occupancy
-        // is the sum of its cells'.
+        // front; they determine handler occupancy.
         let mut service = self.cfg.base_service;
+        let (mut files, mut probes) = (0usize, 0u64);
         let mut misses: Vec<Bytes> = Vec::new();
         {
             let regions = self.regions.borrow();
@@ -1451,14 +1345,14 @@ impl RegionServer {
             let bloom = self.bloom_enabled.get();
             let mut cache = self.cache.borrow_mut();
             for (row, column) in &cells {
-                let mut probes = 0u64;
+                let mut cell_probes = 0u64;
                 let mut consulted = 0usize;
                 for sf in st.flushing.iter().chain(st.storefiles.iter()) {
                     if !sf.row_in_range(row) {
                         continue;
                     }
                     if bloom {
-                        probes += 1;
+                        cell_probes += 1;
                         if !sf.filter_may_contain(row, column) {
                             continue;
                         }
@@ -1474,11 +1368,13 @@ impl RegionServer {
                     || cache.access(region, row);
                 service += self.cfg.read_service
                     + self.cfg.storefile_read_service * consulted.saturating_sub(1) as u64
-                    + self.cfg.filter_probe_service * probes;
+                    + self.cfg.filter_probe_service * cell_probes;
                 if !hit {
                     service += self.cfg.block_fetch_penalty;
                     misses.push(row.clone());
                 }
+                files += consulted;
+                probes += cell_probes;
             }
         }
         self.charge_region_load(region, service);
@@ -1488,38 +1384,35 @@ impl RegionServer {
             if !this.alive.get() {
                 return;
             }
-            let mut out: Vec<Option<VersionedValue>> = Vec::with_capacity(cells.len());
-            for (row, column) in &cells {
-                match this.lookup(region, row, column, snapshot) {
-                    Ok(v) => out.push(v),
-                    Err(e) => {
-                        // A partially readable stack fails the whole
-                        // batch (same retry the lone get would take).
-                        reply(Err(e));
-                        return;
-                    }
-                }
-            }
+            // A partially readable stack fails the whole batch.
+            let result: Result<Vec<Option<VersionedValue>>, StoreError> = cells
+                .iter()
+                .map(|(row, column)| this.lookup(region, row, column, snapshot))
+                .collect();
             let miss_count = misses.len();
             for row in misses {
                 this.cache.borrow_mut().insert(region, row);
             }
             this.gets.add(cells.len() as u64);
             this.multi_gets.inc();
+            // Span: queue wait is everything between submission and
+            // completion that was not this request's own service.
             let now = this.sim.now();
             let queue_ns = (now.nanos() - submitted.nanos()).saturating_sub(service.nanos());
             this.trace.borrow().record(now, "rpc.multi_get", || {
                 format!(
-                    "server={} region={} cells={} queue_ns={} service_ns={} misses={}",
+                    "server={} region={} cells={} queue_ns={} service_ns={} files={} probes={} misses={}",
                     this.id,
                     region,
                     cells.len(),
                     queue_ns,
                     service.nanos(),
+                    files,
+                    probes,
                     miss_count
                 )
             });
-            reply(Ok(out));
+            reply(result);
         });
     }
 
@@ -1677,33 +1570,11 @@ impl RegionServer {
         if !self.alive.get() {
             return;
         }
-        let region_id = {
-            let regions = self.regions.borrow();
-            // Deterministic choice when more than one hosted region
-            // transiently covers `start` (e.g. an offline parent beside
-            // an online daughter mid-split): prefer the online region,
-            // tie-break by id — HashMap iteration order must never pick
-            // the reply.
-            let mut covering: Vec<_> = regions
-                .values()
-                .filter(|st| st.desc.contains(&start))
-                .map(|st| (st.desc.id, st.online))
-                .collect();
-            covering.sort_unstable_by_key(|(id, _)| *id);
-            match covering
-                .iter()
-                .find(|(_, online)| *online)
-                .or_else(|| covering.first())
-            {
-                Some((id, true)) => *id,
-                Some((id, false)) => {
-                    reply(Err(StoreError::NotServing(*id)));
-                    return;
-                }
-                None => {
-                    reply(Err(StoreError::RegionUnknown));
-                    return;
-                }
+        let region_id = match self.route(std::iter::once(&start[..])) {
+            Ok(region) => region,
+            Err(e) => {
+                reply(Err(e));
+                return;
             }
         };
         // Scans touch many rows, so per-(row, column) bloom filters

@@ -165,50 +165,86 @@ fn write_then_read_roundtrip() {
     assert!(c.client.gets_ok() >= 20);
 }
 
-/// Regression (CD001): `handle_get` used to pick the serving region with
-/// `regions.values().find(...)` — HashMap iteration order. When an offline
-/// region also covers the row (a failover or split window), whether a get
-/// served or bounced `NotServing` depended on per-process hash order. The
-/// pick must prefer the online region deterministically.
+/// Regression (CD001): the read path used to pick the serving region
+/// with `regions.values().find(...)` — HashMap iteration order. When an
+/// offline region also covers the row (a failover or split window),
+/// whether a read served or bounced `NotServing` depended on per-process
+/// hash order. The covering-region router shared by reads and scans must
+/// prefer the online region deterministically, and count every bounce —
+/// scans included — in `not_serving_count`.
 #[test]
 fn get_prefers_online_region_over_offline_coverers() {
-    let c = build(11, 1, 1, WalSyncMode::Async);
+    let c = build(11, 2, 1, WalSyncMode::Async);
     write_rows(&c, 1, 5);
-    // Pile whole-keyspace *offline* regions onto the same server: a
+    // Pile whole-keyspace *offline* regions onto both servers: a
     // non-empty recovered-edits list keeps each offline until its (bogus)
     // WAL read completes, which cannot happen before the sim runs again.
-    let server = &c.servers[0];
-    for i in 0..8u32 {
-        server.open_region(
-            cumulo_store::RegionDescriptor {
-                id: cumulo_store::RegionId(1000 + i),
-                start: Bytes::new(),
-                end: None,
-            },
-            Vec::new(),
-            vec![format!("/bogus/recovered-{i}")],
-            None,
-        );
+    // The server hosting the real region then has one online coverer
+    // among nine; the other server has only offline coverers.
+    for server in &c.servers {
+        for i in 0..8u32 {
+            server.open_region(
+                cumulo_store::RegionDescriptor {
+                    id: cumulo_store::RegionId(1000 + i),
+                    start: Bytes::new(),
+                    end: None,
+                },
+                Vec::new(),
+                vec![format!("/bogus/recovered-{i}")],
+                None,
+            );
+        }
     }
-    // Issue the get directly at the server: the region pick happens
-    // synchronously, while eight of the nine covering regions are offline.
-    let out: Rc<RefCell<Option<Result<Option<Bytes>, cumulo_store::StoreError>>>> =
-        Rc::new(RefCell::new(None));
-    let o = out.clone();
-    server.handle_get(
-        key(0),
-        Bytes::from_static(b"f0"),
-        Timestamp(1000),
-        move |r| {
-            *o.borrow_mut() = Some(r.map(|vv| vv.and_then(|vv| vv.value)));
-        },
-    );
+    let (online, offline) = if c.servers[0].hosted_regions().len() == 9 {
+        (&c.servers[0], &c.servers[1])
+    } else {
+        (&c.servers[1], &c.servers[0])
+    };
+    // Issue a read and a scan directly at each server: the region pick
+    // happens synchronously, while the bogus regions are still offline.
+    type Read = Result<Vec<Option<Bytes>>, cumulo_store::StoreError>;
+    type Scan = Result<Vec<Bytes>, cumulo_store::StoreError>;
+    let issue = |server: &Rc<RegionServer>| {
+        let read: Rc<RefCell<Option<Read>>> = Rc::new(RefCell::new(None));
+        let scan: Rc<RefCell<Option<Scan>>> = Rc::new(RefCell::new(None));
+        let (r, s) = (read.clone(), scan.clone());
+        server.handle_multi_get(
+            vec![(key(0), Bytes::from_static(b"f0"))],
+            Timestamp(1000),
+            move |res| {
+                let values = res.map(|v| v.into_iter().map(|vv| vv.and_then(|vv| vv.value)));
+                *r.borrow_mut() = Some(values.map(Iterator::collect));
+            },
+        );
+        server.handle_scan(key(0), None, Timestamp(1000), 2, move |res| {
+            *s.borrow_mut() = Some(res.map(|page| page.cells.into_iter().map(|c| c.0).collect()));
+        });
+        (read, scan)
+    };
+    let bounces = offline.not_serving_count();
+    let (read, scan) = issue(online);
+    let (bounced_read, bounced_scan) = issue(offline);
     c.sim.run_for(SimDuration::from_secs(2));
-    let got = out.borrow_mut().take().expect("get completed");
     assert_eq!(
-        got.expect("online region must serve the get"),
-        Some(Bytes::from_static(b"value-1")),
-        "get must be served by the online region, not bounced by an offline coverer"
+        read.borrow_mut().take().expect("read completed"),
+        Ok(vec![Some(Bytes::from_static(b"value-1"))]),
+        "the read must be served by the online region, not bounced by an offline coverer"
+    );
+    assert_eq!(
+        scan.borrow_mut().take().expect("scan completed"),
+        Ok(vec![key(0), key(1)]),
+        "the scan must be served by the online region, not bounced by an offline coverer"
+    );
+    let not_serving = cumulo_store::StoreError::NotServing(cumulo_store::RegionId(1000));
+    assert_eq!(
+        bounced_read.borrow_mut().take(),
+        Some(Err(not_serving.clone()))
+    );
+    assert_eq!(bounced_scan.borrow_mut().take(), Some(Err(not_serving)));
+    assert_eq!(
+        offline.not_serving_count() - bounces,
+        2,
+        "an all-offline cover bounces the read and the scan, and both bounces count"
     );
 }
 

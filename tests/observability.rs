@@ -204,6 +204,17 @@ fn registry_views_agree_with_component_accessors() {
         .sum();
     assert_eq!(totals.filter_bytes, filter_bytes);
 
+    // Store-client request counters reach the registry too.
+    let puts_ok: u64 = cluster
+        .clients
+        .iter()
+        .map(|c| c.store_client().puts_ok())
+        .sum();
+    assert!(
+        puts_ok > 0 && cluster.metrics.sum("store_client.puts_ok") == puts_ok,
+        "store_client.puts_ok must sum the clients' acknowledged multi-puts ({puts_ok})"
+    );
+
     let comp = cluster.compaction_totals();
     let completed: u64 = cluster
         .servers
@@ -267,7 +278,16 @@ fn trace_spans_cover_txn_lifecycle_and_rpcs() {
     assert!(trace.count("txn.begin") >= 1);
     assert!(trace.count("txn.commit") >= 1);
     assert!(trace.count("rpc.put") >= 1);
-    assert!(trace.count("rpc.get") >= 1);
+    let read = trace
+        .entries()
+        .into_iter()
+        .find(|e| e.kind == "rpc.multi_get")
+        .expect("one read span kind covers lone gets and batches");
+    assert!(
+        read.detail.contains("cells=1 "),
+        "a lone get is a one-cell read span: {}",
+        read.detail
+    );
     let entries = trace.entries();
     let begin = entries
         .iter()
