@@ -5,7 +5,9 @@
 //! bench CSVs against baselines captured before the replication
 //! subsystem existed: a single stray `net.send` or reordered HashMap
 //! iteration anywhere near the scheduling path shifts the jitter stream
-//! and diverges every number downstream.
+//! and diverges every number downstream. The `policy_compare` baseline
+//! was re-pinned once since, when its scan-heavy phase stopped opting
+//! out of cross-region scan continuation (two `scan_heavy` rows moved).
 
 use std::process::Command;
 

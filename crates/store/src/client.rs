@@ -40,13 +40,6 @@ pub struct StoreClientConfig {
     pub retry_backoff: SimDuration,
     /// Cap on the exponential retry backoff.
     pub max_backoff: SimDuration,
-    /// Continue scans across region boundaries (on by default). When
-    /// off, [`StoreClient::scan`] reverts to the legacy behavior of
-    /// serving only the region containing `start` — kept for calibrated
-    /// experiments whose pinned baselines predate the continuation (the
-    /// extra per-leg messages draw network-jitter RNG and would shift
-    /// their event schedules).
-    pub cross_region_scans: bool,
     /// Minimum spacing between region-map refresh fetches, plus an
     /// epoch check: a routing failure whose observed map epoch is
     /// already stale (the cache advanced since the op was routed) skips
@@ -64,7 +57,6 @@ impl Default for StoreClientConfig {
             request_timeout: SimDuration::from_millis(60),
             retry_backoff: SimDuration::from_millis(15),
             max_backoff: SimDuration::from_millis(500),
-            cross_region_scans: true,
             min_refresh_interval: SimDuration::ZERO,
         }
     }
@@ -237,9 +229,7 @@ impl StoreClient {
     /// boundary: a failed leg retries *at the same cursor* with a
     /// refreshed map (the `WrongRegion`-style self-healing the write
     /// path uses), and snapshot reads are independent of region
-    /// structure. Legacy single-region truncation is available via
-    /// [`StoreClientConfig::cross_region_scans`]. Retries until served;
-    /// `done` fires exactly once.
+    /// structure. Retries until served; `done` fires exactly once.
     pub fn scan(
         &self,
         start: Bytes,
@@ -703,9 +693,8 @@ fn scan_leg(inner: Rc<Inner>, cursor: Bytes, remaining: usize, scan: Scan, attem
 }
 
 /// Completion step of one served scan leg: absorb the page, then finish
-/// — limit filled, table end reached, requested end covered by the
-/// region just served, or continuation disabled (legacy single-region
-/// truncation) — or issue the next leg at the region's end bound.
+/// — limit filled, table end reached, or requested end covered by the
+/// region just served — or issue the next leg at the region's end bound.
 fn advance_scan(inner: Rc<Inner>, remaining: usize, mut scan: Scan, page: ScanPage) {
     let got = page.cells.len();
     scan.acc.extend(page.cells);
@@ -715,7 +704,7 @@ fn advance_scan(inner: Rc<Inner>, remaining: usize, mut scan: Scan, page: ScanPa
         (Some(re), Some(e)) => re >= e, // the requested end is inside the region
         (Some(_), None) => false,       // more table to the right
     };
-    if left == 0 || covered || !inner.cfg.cross_region_scans {
+    if left == 0 || covered {
         inner.scans_ok.inc();
         (scan.done)(scan.acc);
         return;
