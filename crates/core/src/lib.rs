@@ -71,7 +71,7 @@ mod server_tracker;
 // surface: `determinism_lint` catches unwrap/expect/panic! lexically,
 // clippy catches what a token heuristic can miss (macro-expanded or
 // reformatted calls). CI runs clippy with `-D warnings`, so these are
-// effectively denied; the five vetted internal-invariant sites carry
+// effectively denied; the three vetted internal-invariant sites carry
 // explicit `#[allow]`s with lint:allow reasons alongside.
 #[warn(clippy::unwrap_used, clippy::expect_used)]
 mod txn_client;

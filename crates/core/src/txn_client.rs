@@ -355,50 +355,38 @@ impl Transaction {
             self.fail(e, done);
             return;
         }
-        let (start_ts, local, misses) = {
+        // Cells this transaction wrote are answered from its write-set;
+        // the rest (`fetch`, at positions `misses`) go to the store.
+        let (start_ts, mut out, misses, fetch) = {
             let active = self.inner.active.borrow();
             let at = &active[&self.id];
-            let mut local: Vec<Option<Option<Bytes>>> = Vec::with_capacity(cells.len());
-            let mut misses: Vec<(usize, Bytes, Bytes)> = Vec::new();
-            for (i, (row, column)) in cells.iter().enumerate() {
-                match at.write_set.get(row, column) {
-                    Some(MutationKind::Put(v)) => local.push(Some(Some(v.clone()))),
-                    Some(MutationKind::Delete) => local.push(Some(None)),
+            let mut out: Vec<Option<Bytes>> = Vec::with_capacity(cells.len());
+            let (mut misses, mut fetch) = (Vec::new(), Vec::new());
+            for (i, (row, column)) in cells.into_iter().enumerate() {
+                out.push(match at.write_set.get(&row, &column) {
+                    Some(MutationKind::Put(v)) => Some(v.clone()),
+                    Some(MutationKind::Delete) => None,
                     None => {
-                        local.push(None);
-                        misses.push((i, row.clone(), column.clone()));
+                        misses.push(i);
+                        fetch.push((row, column));
+                        None
                     }
-                }
+                });
             }
-            (at.start_ts, local, misses)
+            (at.start_ts, out, misses, fetch)
         };
         if misses.is_empty() {
-            #[allow(clippy::expect_used)]
-            let out: Vec<Option<Bytes>> =
-                // lint:allow(CD005, reason = "internal invariant, not client input: the misses.is_empty() branch guarantees every slot was filled from the write-set")
-                local.into_iter().map(|v| v.expect("all local")).collect();
             self.inner
                 .sim
                 .schedule_in(SimDuration::ZERO, move || done(Ok(out)));
             return;
         }
-        let fetch: Vec<(Bytes, Bytes)> = misses
-            .iter()
-            .map(|(_, r, c)| (r.clone(), c.clone()))
-            .collect();
         self.inner.store.multi_get(fetch, start_ts, move |values| {
             debug_assert_eq!(values.len(), misses.len());
-            let mut out = local;
-            for ((i, _, _), vv) in misses.into_iter().zip(values) {
-                out[i] = Some(vv.and_then(|v| v.value));
+            for (i, vv) in misses.into_iter().zip(values) {
+                out[i] = vv.and_then(|v| v.value);
             }
-            #[allow(clippy::expect_used)]
-            let filled: Vec<Option<Bytes>> = out
-                .into_iter()
-                // lint:allow(CD005, reason = "internal invariant, not client input: every miss slot was just filled from the store batch reply above")
-                .map(|v| v.expect("filled by store batch"))
-                .collect();
-            done(Ok(filled));
+            done(Ok(out));
         });
     }
 

@@ -463,6 +463,8 @@ enum Metric {
 struct Registered {
     name: String,
     labels: Vec<(String, String)>,
+    /// `render_key(name, labels)`, rendered once for the duplicate check.
+    key: String,
     metric: Metric,
 }
 
@@ -606,12 +608,13 @@ impl MetricsRegistry {
         let key = render_key(name, &labels);
         let mut inner = self.inner.borrow_mut();
         assert!(
-            !inner.iter().any(|r| render_key(&r.name, &r.labels) == key),
+            !inner.iter().any(|r| r.key == key),
             "metric {key} registered twice"
         );
         inner.push(Registered {
             name: name.to_owned(),
             labels,
+            key,
             metric,
         });
     }

@@ -345,6 +345,15 @@ fn group_by_region<T>(
     groups
 }
 
+/// Whether the cached map no longer has `region` (split or merged away),
+/// so a batch grouped under it must be re-grouped. An empty map just
+/// means the client pre-dates bootstrap; the ordinary refresh-and-retry
+/// handles that.
+fn region_gone(inner: &Inner, region: RegionId) -> bool {
+    let map = inner.map.borrow();
+    !map.regions().is_empty() && map.descriptor(region).is_none()
+}
+
 fn backoff(inner: &Inner, attempt: u32) -> SimDuration {
     let factor = 1u64 << attempt.min(5);
     let d = inner.cfg.retry_backoff * factor;
@@ -397,10 +406,6 @@ fn refresh_map(inner: &Rc<Inner>, observed_epoch: u64) {
     });
 }
 
-/// What a request does once it is settled: `Some(reply)` when served,
-/// `None` when it must be re-issued (the backoff has already elapsed).
-type Then<R> = Box<dyn FnOnce(Rc<Inner>, Option<R>)>;
-
 /// The server side of one request: calls the region server's handler
 /// and answers `reply` with the reply's wire size and the result.
 type Reply<R> = Box<dyn FnOnce(usize, Result<R, StoreError>)>;
@@ -410,8 +415,9 @@ type Reply<R> = Box<dyn FnOnce(usize, Result<R, StoreError>)>;
 /// `size` bytes (counting the send in `sends`), and arms the request
 /// timeout. The first of reply and timeout settles the request: a
 /// served reply hands `then` the result; an error reply, a timeout, or
-/// no routable server in the first place goes to [`retry`]. `then`
-/// re-issues at `attempt + 1` — re-grouping first if the map moved.
+/// no routable server in the first place goes to [`retry`], which hands
+/// `then` a `None` after the backoff; `then` re-issues at `attempt + 1`,
+/// re-grouping first if the map moved.
 fn call<R: 'static>(
     inner: Rc<Inner>,
     attempt: u32,
@@ -429,13 +435,15 @@ fn call<R: 'static>(
         (map.epoch(), route(&map))
     };
     let Some(server) = server.and_then(|s| inner.dir.get(s)) else {
-        retry(inner, routed_epoch, attempt, Box::new(then));
+        retry(inner, routed_epoch, attempt, then);
         return;
     };
     if let Some(sends) = sends {
         sends.inc();
     }
-    let pending: Rc<RefCell<Option<Then<R>>>> = Rc::new(RefCell::new(Some(Box::new(then))));
+    // Whichever of reply and timeout takes `then` first settles the
+    // request; the other finds `None` and does nothing.
+    let pending = Rc::new(RefCell::new(Some(then)));
     let (from, to) = (inner.from, server.node());
     {
         let inner2 = Rc::clone(&inner);
@@ -468,7 +476,12 @@ fn call<R: 'static>(
 /// Counts a retry, refreshes the map, draws the backoff (in that order:
 /// the refresh's messages precede the jitter draw), then re-enters
 /// `then` with `None` once the backoff has elapsed.
-fn retry<R: 'static>(inner: Rc<Inner>, routed_epoch: u64, attempt: u32, then: Then<R>) {
+fn retry<R>(
+    inner: Rc<Inner>,
+    routed_epoch: u64,
+    attempt: u32,
+    then: impl FnOnce(Rc<Inner>, Option<R>) + 'static,
+) {
     inner.retries.inc();
     refresh_map(&inner, routed_epoch);
     let wait = backoff(&inner, attempt);
@@ -493,13 +506,7 @@ fn put_attempt(
     // the batch out to the daughters, completing `done` once all parts
     // are acknowledged. Mutation replay stays idempotent (same commit
     // timestamp), so a partial earlier delivery is harmless.
-    let must_regroup = {
-        let map = inner.map.borrow();
-        // An empty map just means the client pre-dates bootstrap; the
-        // ordinary refresh-and-retry path below handles that.
-        !map.regions().is_empty() && map.descriptor(region).is_none()
-    };
-    if must_regroup {
+    if region_gone(&inner, region) {
         let groups = group_by_region(&inner.map.borrow(), mutations, |m| &m.row);
         if groups.is_empty() {
             done();
@@ -583,11 +590,7 @@ fn read_attempt(
     // The addressed region id may have been split away since the batch
     // was grouped: re-group this group's cells by the current boundaries
     // and fan out to the daughters (same self-healing as `put_attempt`).
-    let must_regroup = {
-        let map = inner.map.borrow();
-        !map.regions().is_empty() && map.descriptor(region).is_none()
-    };
-    if must_regroup {
+    if region_gone(&inner, region) {
         let groups = group_by_region(&inner.map.borrow(), group, |(_, row, _)| row);
         for (sub_region, sub) in groups {
             read_attempt(
