@@ -54,7 +54,9 @@ use cumulo_coord::{CoordClient, SessionId};
 use cumulo_sim::metrics::{Counter, MetricsRegistry};
 use cumulo_sim::trace::Journal;
 use cumulo_sim::{every_from, Network, NodeId, Sim, SimDuration, TimerHandle};
-use cumulo_store::{ClientId, Mutation, MutationKind, StoreClient, Timestamp, WriteSet};
+use cumulo_store::{
+    ClientId, Mutation, MutationKind, StoreClient, Timestamp, VersionedValue, WriteSet,
+};
 use cumulo_txn::{CommitOutcome, TransactionManager, TxnId};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -355,38 +357,34 @@ impl Transaction {
             self.fail(e, done);
             return;
         }
-        // Cells this transaction wrote are answered from its write-set;
-        // the rest (`fetch`, at positions `misses`) go to the store.
-        let (start_ts, mut out, misses, fetch) = {
+        // Cells this transaction wrote are answered from its write-set
+        // (`local`, `None` where it wrote nothing); the rest stay in
+        // `cells` and go to the store.
+        let mut cells = cells;
+        let (start_ts, local) = {
             let active = self.inner.active.borrow();
             let at = &active[&self.id];
-            let mut out: Vec<Option<Bytes>> = Vec::with_capacity(cells.len());
-            let (mut misses, mut fetch) = (Vec::new(), Vec::new());
-            for (i, (row, column)) in cells.into_iter().enumerate() {
-                out.push(match at.write_set.get(&row, &column) {
-                    Some(MutationKind::Put(v)) => Some(v.clone()),
-                    Some(MutationKind::Delete) => None,
-                    None => {
-                        misses.push(i);
-                        fetch.push((row, column));
-                        None
-                    }
+            let mut local = Vec::with_capacity(cells.len());
+            cells.retain(|(row, column)| {
+                let hit = at.write_set.get(row, column).map(|kind| match kind {
+                    MutationKind::Put(v) => Some(v.clone()),
+                    MutationKind::Delete => None,
                 });
-            }
-            (at.start_ts, out, misses, fetch)
+                let miss = hit.is_none();
+                local.push(hit);
+                miss
+            });
+            (at.start_ts, local)
         };
-        if misses.is_empty() {
+        if cells.is_empty() {
+            let out = fill_misses(local, Vec::new());
             self.inner
                 .sim
                 .schedule_in(SimDuration::ZERO, move || done(Ok(out)));
             return;
         }
-        self.inner.store.multi_get(fetch, start_ts, move |values| {
-            debug_assert_eq!(values.len(), misses.len());
-            for (i, vv) in misses.into_iter().zip(values) {
-                out[i] = vv.and_then(|v| v.value);
-            }
-            done(Ok(out));
+        self.inner.store.multi_get(cells, start_ts, move |fetched| {
+            done(Ok(fill_misses(local, fetched)))
         });
     }
 
@@ -891,6 +889,22 @@ impl TransactionalClient {
     pub fn store_client(&self) -> &StoreClient {
         &self.inner.store
     }
+}
+
+/// Merges a [`Transaction::multi_get`]'s answers: each write-set answer
+/// in `local`, and the store's `fetched` values, in order, where the
+/// write-set had none.
+fn fill_misses(
+    local: Vec<Option<Option<Bytes>>>,
+    fetched: Vec<Option<VersionedValue>>,
+) -> Vec<Option<Bytes>> {
+    let mut fetched = fetched.into_iter();
+    let out = local
+        .into_iter()
+        .map(|hit| hit.unwrap_or_else(|| fetched.next().flatten().and_then(|v| v.value)))
+        .collect();
+    debug_assert!(fetched.next().is_none(), "one fetched value per miss");
+    out
 }
 
 type RunBody = Rc<dyn Fn(Transaction, RunFinish)>;
