@@ -142,6 +142,21 @@ impl DfsClient {
             });
     }
 
+    /// Creates a new file holding the single record `record`; `done`
+    /// receives the create or append error, or `Ok(())` once the record
+    /// is durable.
+    pub fn create_with(
+        &self,
+        path: &str,
+        record: Bytes,
+        done: impl FnOnce(crate::Result<()>) + 'static,
+    ) {
+        self.create(path, move |file| match file {
+            Ok(file) => file.append(record, done),
+            Err(e) => done(Err(e)),
+        });
+    }
+
     /// Opens an existing file for appending; `done` receives the handle.
     pub fn open_append(&self, path: &str, done: impl FnOnce(crate::Result<DfsFile>) + 'static) {
         let inner = Rc::clone(&self.inner);

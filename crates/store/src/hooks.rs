@@ -15,52 +15,34 @@ use cumulo_sim::NodeId;
 use std::fmt;
 use std::rc::Rc;
 
-/// The master-side coordination surface an online region split needs: the
-/// region server proposes a split, the master allocates daughter ids and
-/// persists the split intent, and the server reports completion (or
-/// abandonment). The `Master` implements this; servers hold it as a trait
-/// object so `server.rs` does not depend on `master.rs`. All calls are
-/// made *at the master's node* — callers send themselves there through
-/// the simulated network first (see [`SplitCoordinator::node`]).
+/// The master-side coordination surface online splits and merges need:
+/// the region server proposes a restructure, the master allocates target
+/// ids and persists a [`crate::RestructureIntent`], and the server reports
+/// completion (or abandonment). The `Master` implements this; servers hold
+/// it as a trait object so `server.rs` does not depend on `master.rs`.
+/// All calls are made *at the master's node* — callers send themselves
+/// there through the simulated network first (see
+/// [`SplitCoordinator::node`]).
 pub trait SplitCoordinator {
     /// The node the coordinator runs on (the RPC destination).
     fn node(&self) -> NodeId;
 
-    /// A server asks to split `region` (which it hosts) at `split_key`.
-    /// The master validates, persists a [`crate::SplitIntent`], and — once
-    /// the intent is durable — tells the server to execute.
-    fn request_split(&self, server: ServerId, region: RegionId, split_key: Bytes);
+    /// A server asks to replace `sources` (adjacent, in key order, all
+    /// hosted by it) with regions cut at `boundaries`: one source and its
+    /// split key for a split, two sources and no key for a merge. The
+    /// master validates, persists the intent and — once it is durable —
+    /// tells the server to execute, or denies the request.
+    fn request_restructure(&self, server: ServerId, sources: Vec<RegionId>, boundaries: Vec<Bytes>);
 
-    /// The server finished the local flip: daughters are online in its
-    /// memory, the parent is gone. The master applies the split to the
-    /// region map and retires the intent.
-    fn split_completed(&self, server: ServerId, parent: RegionId);
+    /// The server finished the local flip of the operation whose first
+    /// source is `first`: the targets are online in its memory, the
+    /// sources are gone. The master applies the change to the region map
+    /// and retires the intent.
+    fn restructure_completed(&self, server: ServerId, first: RegionId);
 
     /// The server abandoned an intent it was granted (e.g. the reference
     /// marker writes failed); the master rolls the intent back.
-    fn split_aborted(&self, server: ServerId, parent: RegionId);
-
-    /// A server asks to merge the adjacent shrunken daughters `left` and
-    /// `right` (both of which it hosts). The master validates adjacency
-    /// and co-hosting, persists a [`crate::MergeIntent`], and — once the
-    /// intent is durable — tells the server to execute. The default
-    /// denies: merge arbitration is optional coordinator surface.
-    fn request_merge(&self, server: ServerId, left: RegionId, right: RegionId) {
-        let _ = (server, left, right);
-    }
-
-    /// The server finished the local merge flip: the merged region is
-    /// online in its memory, both daughters are gone. The master applies
-    /// the merge to the region map and retires the intent.
-    fn merge_completed(&self, server: ServerId, left: RegionId) {
-        let _ = (server, left);
-    }
-
-    /// The server abandoned a merge intent it was granted; the master
-    /// rolls the intent back.
-    fn merge_aborted(&self, server: ServerId, left: RegionId) {
-        let _ = (server, left);
-    }
+    fn restructure_aborted(&self, server: ServerId, first: RegionId);
 }
 
 /// Callbacks from the store into the recovery middleware.
@@ -100,22 +82,6 @@ pub trait RecoveryHooks {
         wal_seq: u64,
         floor: Option<Timestamp>,
     );
-
-    /// The master applied an online split: `parent` was replaced in the
-    /// region map by `bottom`/`top`. Purely informational for the
-    /// middleware (per-region recovery state is keyed by region id and
-    /// daughter ids are fresh); the default does nothing.
-    fn on_region_split(&self, parent: RegionId, bottom: RegionId, top: RegionId) {
-        let _ = (parent, bottom, top);
-    }
-
-    /// The master applied an online merge: adjacent daughters `left` and
-    /// `right` were replaced in the region map by `merged`. Informational,
-    /// mirroring [`RecoveryHooks::on_region_split`]; the default does
-    /// nothing.
-    fn on_region_merged(&self, left: RegionId, right: RegionId, merged: RegionId) {
-        let _ = (left, right, merged);
-    }
 }
 
 /// The master-side coordination surface region replication needs beyond

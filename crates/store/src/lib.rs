@@ -7,7 +7,7 @@
 //!   hosted by one **region server** — with **online splits**: a hot
 //!   region is atomically replaced by two daughters whose store-file
 //!   sets are O(metadata) reference half-files over the parent's files
-//!   (see ARCHITECTURE.md, "Online region splits");
+//!   (see ARCHITECTURE.md, "Online splits and merges");
 //! * per-region in-memory **memstores** holding recent updates, flushed in
 //!   batches to immutable **store files** in the distributed filesystem;
 //! * a per-server **write-ahead log** whose synchronous flush can be
@@ -117,10 +117,10 @@ pub use error::StoreError;
 pub use hooks::{NoopHooks, RecoveryHooks, ReplicationCoordinator, SplitCoordinator};
 pub use master::{Master, MasterConfig, MoveConfig, ServerDirectory};
 pub use memstore::{MemStore, VersionedValue};
-pub use region::{MergeIntent, RegionDescriptor, RegionMap, SplitIntent};
+pub use region::{RegionDescriptor, RegionMap, RestructureIntent, RestructureKind};
 pub use server::{
     FilterStats, MemstoreSnapshot, RegionServer, RegionServerConfig, ReplAck, ReplicationConfig,
-    ReplicationStats, ScanPage, SplitConfig, SplitStats,
+    ReplicationStats, RestructureStats, ScanPage, SplitConfig,
 };
 pub use sstable::{StoreFileData, StoreFileEntry, StoreFileRegistry};
 pub use types::{ClientId, Mutation, MutationKind, RegionId, ServerId, Timestamp, WriteSet};

@@ -3,7 +3,9 @@
 
 use crate::codec::WalRecord;
 use crate::hooks::{NoopHooks, RecoveryHooks, ReplicationCoordinator, SplitCoordinator};
-use crate::region::{MergeIntent, RegionDescriptor, RegionMap, SplitIntent};
+use crate::region::{
+    restructure_event, RegionDescriptor, RegionMap, RestructureIntent, RestructureKind,
+};
 use crate::server::RegionServer;
 use crate::sstable::StoreFileRegistry;
 use crate::types::{Mutation, RegionId, ServerId};
@@ -142,6 +144,14 @@ struct PendingRecovery {
     expected: usize,
 }
 
+/// Master-side counters of one kind of online restructure.
+#[derive(Default)]
+struct IntentCounters {
+    persisted: Counter,
+    applied: Counter,
+    rolled_back: Counter,
+}
+
 /// The cluster master. Shared via `Rc`.
 pub struct Master {
     sim: Sim,
@@ -164,21 +174,13 @@ pub struct Master {
     /// The next region id to hand out to a split daughter (ids are never
     /// reused, so a cached id always means the same key range).
     next_region_id: Cell<u32>,
-    /// Split intents granted and durable but not yet completed, keyed by
-    /// parent region. The master's authoritative in-flight set; the DFS
-    /// record at `/split/{parent}` mirrors it for a real deployment's
-    /// master restart.
-    split_intents: RefCell<HashMap<RegionId, SplitIntent>>,
-    intents_persisted: Counter,
-    splits_applied: Counter,
-    splits_rolled_back: Counter,
-    /// Merge intents granted and durable but not yet completed, keyed by
-    /// the *left* daughter (the intent's filesystem record lives at
-    /// `/merge/{left}`), mirroring `split_intents`.
-    merge_intents: RefCell<HashMap<RegionId, MergeIntent>>,
-    merge_intents_persisted: Counter,
-    merges_applied: Counter,
-    merges_rolled_back: Counter,
+    /// Split and merge intents granted but not yet completed, keyed by
+    /// their first source region. The master's authoritative in-flight
+    /// set; the DFS record at [`RestructureIntent::record_path`] mirrors
+    /// it for a real deployment's master restart.
+    intents: RefCell<HashMap<RegionId, RestructureIntent>>,
+    split_counts: IntentCounters,
+    merge_counts: IntentCounters,
     /// The one in-flight proactive move, if any: (region, donor, target).
     /// One at a time — moves are a background rebalance, not a bulk
     /// migration, and serializing them keeps the load signal honest
@@ -252,14 +254,9 @@ impl Master {
             failovers: Counter::new(),
             events: RefCell::new(Journal::disabled()),
             next_region_id: Cell::new(0),
-            split_intents: RefCell::new(HashMap::new()),
-            intents_persisted: Counter::new(),
-            splits_applied: Counter::new(),
-            splits_rolled_back: Counter::new(),
-            merge_intents: RefCell::new(HashMap::new()),
-            merge_intents_persisted: Counter::new(),
-            merges_applied: Counter::new(),
-            merges_rolled_back: Counter::new(),
+            intents: RefCell::new(HashMap::new()),
+            split_counts: IntentCounters::default(),
+            merge_counts: IntentCounters::default(),
             pending_move: RefCell::new(None),
             moves_started: Counter::new(),
             moves_completed: Counter::new(),
@@ -416,20 +413,13 @@ impl Master {
     /// keys. Cluster wiring; call once.
     pub fn register_metrics(&self, registry: &MetricsRegistry) {
         registry.register_counter("master.failovers", &[], &self.failovers);
-        registry.register_counter(
-            "master.split.intents_persisted",
-            &[],
-            &self.intents_persisted,
-        );
-        registry.register_counter("master.split.applied", &[], &self.splits_applied);
-        registry.register_counter("master.split.rolled_back", &[], &self.splits_rolled_back);
-        registry.register_counter(
-            "master.merge.intents_persisted",
-            &[],
-            &self.merge_intents_persisted,
-        );
-        registry.register_counter("master.merge.applied", &[], &self.merges_applied);
-        registry.register_counter("master.merge.rolled_back", &[], &self.merges_rolled_back);
+        for kind in [RestructureKind::Split, RestructureKind::Merge] {
+            let (name, c) = (kind.name(), self.counts(kind));
+            let key = |what: &str| format!("master.{name}.{what}");
+            registry.register_counter(&key("intents_persisted"), &[], &c.persisted);
+            registry.register_counter(&key("applied"), &[], &c.applied);
+            registry.register_counter(&key("rolled_back"), &[], &c.rolled_back);
+        }
         registry.register_counter("master.move.started", &[], &self.moves_started);
         registry.register_counter("master.move.completed", &[], &self.moves_completed);
         registry.register_counter("master.move.refused", &[], &self.moves_refused);
@@ -463,43 +453,30 @@ impl Master {
             .record(self.sim.now(), "server.failover", || {
                 format!("server={failed} regions={}", regions.len())
             });
-        // Roll back any split intent granted to the failed server. This
-        // is always safe before the map flip: clients can only address
-        // region ids the map has shown them, so no write was ever
-        // acknowledged under a daughter id — the parent's WAL and store
-        // files still cover everything, and the daughters' orphaned
-        // reference markers are deleted below. (Once `split_completed`
-        // has flipped the map, the intent is gone and the daughters
-        // recover here like any other region.)
-        let intents: Vec<SplitIntent> = {
-            let mut pending = self.split_intents.borrow_mut();
-            regions.iter().filter_map(|r| pending.remove(r)).collect()
-        };
-        for intent in intents {
-            self.rollback_intent(intent);
-        }
-        // Merge intents granted to the failed server roll back under the
-        // same argument: the map never flipped, so no client ever
-        // addressed the merged id — both daughters' WALs and store files
-        // are untouched and recover normally below.
-        let merge_intents: Vec<MergeIntent> = {
-            let mut pending = self.merge_intents.borrow_mut();
-            let mut doomed: Vec<RegionId> = pending
+        // Roll back any split or merge intent granted to the failed
+        // server. This is always safe before the map flip: clients can
+        // only address region ids the map has shown them, so no write was
+        // ever acknowledged under a target id — the sources' WALs and
+        // store files still cover everything, and the targets' orphaned
+        // reference markers are deleted. (Once `restructure_completed`
+        // has flipped the map, the intent is gone and the targets recover
+        // here like any other region.)
+        let doomed: Vec<RestructureIntent> = {
+            let mut pending = self.intents.borrow_mut();
+            let mut keys: Vec<RegionId> = pending
                 .iter()
                 .filter(|(_, i)| i.server == failed)
                 .map(|(k, _)| *k)
                 .collect();
             // HashMap iteration order varies per process; roll back in
             // key order so runs with the same seed stay byte-identical.
-            doomed.sort_unstable();
-            doomed
-                .into_iter()
+            keys.sort_unstable();
+            keys.into_iter()
                 .filter_map(|k| pending.remove(&k))
                 .collect()
         };
-        // lint:allow(CD001, reason = "false positive: this `merge_intents` is the local Vec built above, already sorted by key — it shadows the map field of the same name")
-        for intent in merge_intents {
-            self.rollback_merge_intent(intent);
+        for intent in doomed {
+            self.rollback_restructure(intent);
         }
         // A move whose donor or target died is abandoned: the region is
         // either still assigned to the donor (recovered right here) or
@@ -553,63 +530,38 @@ impl Master {
         });
     }
 
-    /// Rolls a durable-but-uncompleted split intent back: the intent
-    /// record and the daughters' orphaned reference markers are deleted;
-    /// the region map was never touched.
-    fn rollback_intent(&self, intent: SplitIntent) {
-        self.splits_rolled_back.inc();
-        self.events
-            .borrow()
-            .record(self.sim.now(), "split.rollback", || {
-                format!("region={} server={}", intent.parent, intent.server)
-            });
-        self.dfs.delete(&format!("/split/{}", intent.parent));
-        for daughter in [intent.bottom, intent.top] {
-            // The dead server may have registered reference half-files
-            // before crashing; purge them so the parent's physical files
-            // do not carry inflated backing counts forever (which would
-            // make them undeletable after a later successful split).
+    /// Rolls a durable-but-uncompleted intent back: the intent record and
+    /// the targets' orphaned reference markers are deleted; the region
+    /// map was never touched, so the sources recover from their own
+    /// untouched files.
+    fn rollback_restructure(&self, intent: RestructureIntent) {
+        let kind = intent.kind();
+        self.counts(kind).rolled_back.inc();
+        self.record(restructure_event!(kind, "rollback"), || {
+            format!(
+                "{} server={}",
+                kind.detail(&intent.sources, &[]),
+                intent.server
+            )
+        });
+        self.dfs.delete(&intent.record_path());
+        for target in &intent.targets {
+            // The dead server may have registered reference files before
+            // crashing; purge them so the sources' physical files do not
+            // carry inflated backing counts forever (which would make them
+            // undeletable after a later successful restructure).
             if let Some(registry) = self.registry.borrow().as_ref() {
-                registry.purge_references_under(&format!("/store/{daughter}/"));
+                registry.purge_references_under(&format!("/store/{target}/"));
             }
             let dfs = self.dfs.clone();
             self.dfs
                 .clone()
-                .list(&format!("/store/{daughter}/"), move |paths| {
+                .list(&format!("/store/{target}/"), move |paths| {
                     for p in paths {
                         dfs.delete(&p);
                     }
                 });
         }
-    }
-
-    /// Rolls a durable-but-uncompleted merge intent back: the intent
-    /// record and the merged region's orphaned reference markers are
-    /// deleted; the region map was never touched, so both daughters
-    /// recover from their own untouched files.
-    fn rollback_merge_intent(&self, intent: MergeIntent) {
-        self.merges_rolled_back.inc();
-        self.events
-            .borrow()
-            .record(self.sim.now(), "merge.rollback", || {
-                format!(
-                    "left={} right={} server={}",
-                    intent.left, intent.right, intent.server
-                )
-            });
-        self.dfs.delete(&format!("/merge/{}", intent.left));
-        let merged = intent.merged;
-        if let Some(registry) = self.registry.borrow().as_ref() {
-            registry.purge_references_under(&format!("/store/{merged}/"));
-        }
-        let dfs = self.dfs.clone();
-        self.dfs
-            .clone()
-            .list(&format!("/store/{merged}/"), move |paths| {
-                for p in paths {
-                    dfs.delete(&p);
-                }
-            });
     }
 
     /// Installs the shared store-file registry (cluster wiring) so split
@@ -804,104 +756,135 @@ impl Master {
     }
 
     // ------------------------------------------------------------------
-    // Online region splits (master side; see `SplitCoordinator`)
+    // Online splits and merges (master side; see `SplitCoordinator`)
     // ------------------------------------------------------------------
+
+    fn record(&self, event: &'static str, detail: impl FnOnce() -> String) {
+        self.events.borrow().record(self.sim.now(), event, detail);
+    }
+
+    fn counts(&self, kind: RestructureKind) -> &IntentCounters {
+        match kind {
+            RestructureKind::Split => &self.split_counts,
+            RestructureKind::Merge => &self.merge_counts,
+        }
+    }
 
     /// Split intents made durable in the filesystem.
     pub fn split_intents_persisted(&self) -> u64 {
-        self.intents_persisted.get()
+        self.split_counts.persisted.get()
     }
 
     /// Splits applied to the region map.
     pub fn splits_applied(&self) -> u64 {
-        self.splits_applied.get()
+        self.split_counts.applied.get()
     }
 
     /// Split intents rolled back (server failed mid-split, marker writes
-    /// failed, or the intent could not be persisted).
+    /// failed, or the server no longer recognized the intent).
     pub fn splits_rolled_back(&self) -> u64 {
-        self.splits_rolled_back.get()
+        self.split_counts.rolled_back.get()
     }
 
-    /// Whether a split intent is currently outstanding for `region`.
-    pub fn split_intent_outstanding(&self, region: RegionId) -> bool {
-        self.split_intents.borrow().contains_key(&region)
+    /// Merge intents made durable in the filesystem.
+    pub fn merge_intents_persisted(&self) -> u64 {
+        self.merge_counts.persisted.get()
     }
 
-    /// Validates a server's split request; on success persists the
-    /// intent and, once durable, tells the server to execute.
-    fn handle_split_request(self: &Rc<Self>, server: ServerId, region: RegionId, split_key: Bytes) {
+    /// Merges applied to the region map.
+    pub fn merges_applied(&self) -> u64 {
+        self.merge_counts.applied.get()
+    }
+
+    /// Merge intents rolled back, as [`Master::splits_rolled_back`].
+    pub fn merges_rolled_back(&self) -> u64 {
+        self.merge_counts.rolled_back.get()
+    }
+
+    /// Whether an outstanding intent has `region` among its sources.
+    fn intent_involves(&self, region: RegionId) -> bool {
+        self.intents
+            .borrow()
+            .values()
+            .any(|i| i.sources.contains(&region))
+    }
+
+    /// Validates a server's split or merge request; on success persists
+    /// the intent and, once durable, tells the server to execute. Every
+    /// source must be assigned to the requesting server, which must not
+    /// have failed, and no source may be in another intent. A split key
+    /// must fall strictly inside its parent. Merge sources must be
+    /// adjacent in key order and unreplicated: their shadow lanes would
+    /// have to be collapsed too, and the scale campaign does not need the
+    /// combination.
+    fn handle_restructure_request(
+        self: &Rc<Self>,
+        server: ServerId,
+        sources: Vec<RegionId>,
+        boundaries: Vec<Bytes>,
+    ) {
         let valid = {
             let map = self.region_map.borrow();
-            let assigned_here = map.server_for(region) == Some(server);
-            let inside = map
-                .descriptor(region)
-                .map(|d| {
-                    split_key[..] > d.start[..]
-                        && d.end.as_ref().map(|e| &split_key < e).unwrap_or(true)
-                })
-                .unwrap_or(false);
-            assigned_here
-                && inside
+            let kind_valid = match (&sources[..], &boundaries[..]) {
+                ([parent], [key]) => map.descriptor(*parent).is_some_and(|d| d.splits_at(key)),
+                ([left, right], []) => {
+                    map.descriptor(*left)
+                        .zip(map.descriptor(*right))
+                        .is_some_and(|(l, r)| l.precedes(r))
+                        && map.replicas_of(*left).is_empty()
+                        && map.replicas_of(*right).is_empty()
+                }
+                _ => false,
+            };
+            kind_valid
+                && sources.iter().all(|r| map.server_for(*r) == Some(server))
                 && !self.handled_failures.borrow().contains(&server)
-                && !self.split_intents.borrow().contains_key(&region)
-                && !self.merge_involves(region)
+                && !sources.iter().any(|r| self.intent_involves(*r))
         };
+        let first = sources[0];
         if !valid {
-            self.deny_split(server, region);
+            self.deny_restructure(server, first);
             return;
         }
-        let bottom = RegionId(self.next_region_id.get());
-        let top = RegionId(self.next_region_id.get() + 1);
-        self.next_region_id.set(self.next_region_id.get() + 2);
-        let intent = SplitIntent {
-            parent: region,
-            split_key: split_key.clone(),
-            bottom,
-            top,
+        let next = self.next_region_id.get();
+        let targets: Vec<RegionId> = (0..=boundaries.len() as u32)
+            .map(|i| RegionId(next + i))
+            .collect();
+        self.next_region_id.set(next + targets.len() as u32);
+        let intent = RestructureIntent {
+            sources,
+            boundaries,
+            targets,
             server,
         };
         // Record in memory first so a racing second request is denied;
         // the DFS record is written before the server may execute — the
         // durability point the crash-window analysis hinges on.
-        self.split_intents
-            .borrow_mut()
-            .insert(region, intent.clone());
-        let encoded = intent.encode();
+        self.intents.borrow_mut().insert(first, intent.clone());
         let weak = Rc::downgrade(self);
-        self.dfs.create(&format!("/split/{region}"), move |file| {
-            let Some(master) = weak.upgrade() else { return };
-            let Ok(file) = file else {
-                // Create can fail with AlreadyExists when an earlier
-                // attempt's append died half-way and left the file
-                // behind; delete it so the region is not permanently
-                // split-blocked, then deny (the server re-requests).
-                master.dfs.delete(&format!("/split/{region}"));
-                master.split_intents.borrow_mut().remove(&region);
-                master.deny_split(server, region);
-                return;
-            };
-            let weak = weak.clone();
-            file.append(encoded, move |result| {
+        self.dfs
+            .create_with(&intent.record_path(), intent.encode(), move |result| {
                 let Some(master) = weak.upgrade() else { return };
                 if result.is_err() {
-                    // The created-but-unwritten intent file would block
-                    // every future split of this region (AlreadyExists).
-                    master.dfs.delete(&format!("/split/{region}"));
-                    master.split_intents.borrow_mut().remove(&region);
-                    master.deny_split(server, region);
+                    // A failed create (AlreadyExists: an earlier attempt's
+                    // append died half-way) or append leaves a file that
+                    // would block every future intent on these sources;
+                    // delete it, then deny (the server re-requests).
+                    master.dfs.delete(&intent.record_path());
+                    master.intents.borrow_mut().remove(&first);
+                    master.deny_restructure(server, first);
                     return;
                 }
-                master.intents_persisted.inc();
-                master
-                    .events
-                    .borrow()
-                    .record(master.sim.now(), "split.persisted", || {
-                        format!("region={region} server={server} bottom={bottom} top={top}")
-                    });
+                let kind = intent.kind();
+                master.counts(kind).persisted.inc();
+                master.record(restructure_event!(kind, "persisted"), || {
+                    let sources = kind.detail(&intent.sources, &[]);
+                    let targets = kind.detail(&[], &intent.targets);
+                    format!("{sources} server={server} {targets}")
+                });
                 // The server may have died while the intent was being
                 // written; its failover already rolled the intent back.
-                if !master.split_intents.borrow().contains_key(&region) {
+                if !master.intents.borrow().contains_key(&first) {
                     return;
                 }
                 let Some(target) = master.dir.get(server) else {
@@ -909,149 +892,18 @@ impl Master {
                 };
                 let node = target.node();
                 master.net.send(master.node, node, 96, move || {
-                    target.execute_split(region, split_key, bottom, top);
+                    target.execute_restructure(intent);
                 });
             });
-        });
     }
 
-    fn deny_split(&self, server: ServerId, region: RegionId) {
+    fn deny_restructure(&self, server: ServerId, first: RegionId) {
         let Some(target) = self.dir.get(server) else {
             return;
         };
         let node = target.node();
         self.net.send(self.node, node, 48, move || {
-            target.split_request_denied(region);
-        });
-    }
-
-    // ------------------------------------------------------------------
-    // Online region merges (master side; see `SplitCoordinator`)
-    // ------------------------------------------------------------------
-
-    /// Merge intents made durable in the filesystem.
-    pub fn merge_intents_persisted(&self) -> u64 {
-        self.merge_intents_persisted.get()
-    }
-
-    /// Merges applied to the region map.
-    pub fn merges_applied(&self) -> u64 {
-        self.merges_applied.get()
-    }
-
-    /// Merge intents rolled back (server failed mid-merge, marker writes
-    /// failed, or the intent could not be persisted).
-    pub fn merges_rolled_back(&self) -> u64 {
-        self.merges_rolled_back.get()
-    }
-
-    /// Whether a merge intent currently involves `region` (as either
-    /// daughter).
-    pub fn merge_involves(&self, region: RegionId) -> bool {
-        self.merge_intents
-            .borrow()
-            .values()
-            .any(|i| i.left == region || i.right == region)
-    }
-
-    /// Validates a server's merge request; on success persists the
-    /// intent and, once durable, tells the server to execute. Valid
-    /// requests name two regions that are adjacent in key order, both
-    /// assigned to the requesting server, with no split or merge intent
-    /// outstanding on either. Merging replicated regions is not
-    /// supported: the daughters' shadow lanes would have to be collapsed
-    /// too, and the scale campaign does not need the combination.
-    fn handle_merge_request(self: &Rc<Self>, server: ServerId, left: RegionId, right: RegionId) {
-        let valid = {
-            let map = self.region_map.borrow();
-            let assigned_here =
-                map.server_for(left) == Some(server) && map.server_for(right) == Some(server);
-            let adjacent = map
-                .descriptor(left)
-                .zip(map.descriptor(right))
-                .map(|(l, r)| l.end.as_deref() == Some(&r.start[..]))
-                .unwrap_or(false);
-            let unreplicated =
-                map.replicas_of(left).is_empty() && map.replicas_of(right).is_empty();
-            let intents = self.split_intents.borrow();
-            assigned_here
-                && adjacent
-                && unreplicated
-                && !self.handled_failures.borrow().contains(&server)
-                && !intents.contains_key(&left)
-                && !intents.contains_key(&right)
-                && !self.merge_involves(left)
-                && !self.merge_involves(right)
-        };
-        if !valid {
-            self.deny_merge(server, left);
-            return;
-        }
-        let merged = RegionId(self.next_region_id.get());
-        self.next_region_id.set(self.next_region_id.get() + 1);
-        let intent = MergeIntent {
-            left,
-            right,
-            merged,
-            server,
-        };
-        // Record in memory first so a racing second request is denied;
-        // the DFS record is written before the server may execute — the
-        // same durability point as the split intent.
-        self.merge_intents.borrow_mut().insert(left, intent.clone());
-        let encoded = intent.encode();
-        let weak = Rc::downgrade(self);
-        self.dfs.create(&format!("/merge/{left}"), move |file| {
-            let Some(master) = weak.upgrade() else { return };
-            let Ok(file) = file else {
-                // Create can fail with AlreadyExists when an earlier
-                // attempt's append died half-way and left the file
-                // behind; delete it so the pair is not permanently
-                // merge-blocked, then deny (the server re-requests).
-                master.dfs.delete(&format!("/merge/{left}"));
-                master.merge_intents.borrow_mut().remove(&left);
-                master.deny_merge(server, left);
-                return;
-            };
-            let weak = weak.clone();
-            file.append(encoded, move |result| {
-                let Some(master) = weak.upgrade() else { return };
-                if result.is_err() {
-                    master.dfs.delete(&format!("/merge/{left}"));
-                    master.merge_intents.borrow_mut().remove(&left);
-                    master.deny_merge(server, left);
-                    return;
-                }
-                master.merge_intents_persisted.inc();
-                master
-                    .events
-                    .borrow()
-                    .record(master.sim.now(), "merge.persisted", || {
-                        format!("left={left} right={right} server={server} merged={merged}")
-                    });
-                // The server may have died while the intent was being
-                // written; its failover already rolled the intent back.
-                if !master.merge_intents.borrow().contains_key(&left) {
-                    return;
-                }
-                let Some(target) = master.dir.get(server) else {
-                    return;
-                };
-                let node = target.node();
-                master.net.send(master.node, node, 96, move || {
-                    target.execute_merge(left, right, merged);
-                });
-            });
-        });
-    }
-
-    fn deny_merge(&self, server: ServerId, left: RegionId) {
-        let Some(target) = self.dir.get(server) else {
-            return;
-        };
-        let node = target.node();
-        self.net.send(self.node, node, 48, move || {
-            target.merge_request_denied(left);
+            target.restructure_denied(first);
         });
     }
 
@@ -1111,11 +963,7 @@ impl Master {
             let candidate = map
                 .regions_of(hot)
                 .into_iter()
-                .filter(|r| {
-                    !self.split_intents.borrow().contains_key(r)
-                        && !self.merge_involves(*r)
-                        && map.replicas_of(*r).is_empty()
-                })
+                .filter(|r| !self.intent_involves(*r) && map.replicas_of(*r).is_empty())
                 .map(|r| (donor.region_load_ns(r), r))
                 .max_by(|a, b| (a.0, std::cmp::Reverse(a.1)).cmp(&(b.0, std::cmp::Reverse(b.1))));
             candidate.map(|(_, region)| (region, hot, cold))
@@ -1549,18 +1397,23 @@ impl SplitCoordinator for Master {
         self.node
     }
 
-    fn request_split(&self, server: ServerId, region: RegionId, split_key: Bytes) {
+    fn request_restructure(
+        &self,
+        server: ServerId,
+        sources: Vec<RegionId>,
+        boundaries: Vec<Bytes>,
+    ) {
         if let Some(master) = self.self_weak.borrow().upgrade() {
-            master.handle_split_request(server, region, split_key);
+            master.handle_restructure_request(server, sources, boundaries);
         }
     }
 
-    fn split_completed(&self, server: ServerId, parent: RegionId) {
+    fn restructure_completed(&self, server: ServerId, first: RegionId) {
         // A failover that raced ahead has already rolled the intent back
         // (and this message came from a now-dead server): ignore.
         let intent = {
-            let intents = self.split_intents.borrow();
-            match intents.get(&parent) {
+            let intents = self.intents.borrow();
+            match intents.get(&first) {
                 Some(i) if i.server == server => Some(i.clone()),
                 _ => None,
             }
@@ -1569,110 +1422,44 @@ impl SplitCoordinator for Master {
         if self.handled_failures.borrow().contains(&server) {
             return;
         }
-        let applied = self.region_map.borrow_mut().apply_split(
-            parent,
-            &intent.split_key,
-            intent.bottom,
-            intent.top,
-        );
-        if !applied {
+        if !self.region_map.borrow_mut().apply_restructure(&intent) {
             return;
         }
-        self.split_intents.borrow_mut().remove(&parent);
-        self.splits_applied.inc();
-        self.events
-            .borrow()
-            .record(self.sim.now(), "split.applied", || {
-                format!(
-                    "region={parent} bottom={} top={}",
-                    intent.bottom, intent.top
-                )
-            });
-        self.dfs.delete(&format!("/split/{parent}"));
-        self.hooks
-            .borrow()
-            .on_region_split(parent, intent.bottom, intent.top);
-        // The daughters inherited the parent's replicas in the map;
+        self.intents.borrow_mut().remove(&first);
+        let kind = intent.kind();
+        self.counts(kind).applied.inc();
+        self.record(restructure_event!(kind, "applied"), || {
+            kind.detail(&intent.sources, &intent.targets)
+        });
+        self.dfs.delete(&intent.record_path());
+        // Split daughters inherited the parent's replicas in the map;
         // rebuild their groups under the bumped epoch (the server already
         // moved its lanes and closed the parent shadows at the flip).
+        // Merge sources are unreplicated, so their targets have none.
         if self.replication_factor.get() > 1 {
             if let Some(master) = self.self_weak.borrow().upgrade() {
-                master.repl_epochs.borrow_mut().remove(&parent);
-                for daughter in [intent.bottom, intent.top] {
-                    if !master.region_map.borrow().replicas_of(daughter).is_empty() {
-                        master.establish_group(daughter);
+                for source in &intent.sources {
+                    master.repl_epochs.borrow_mut().remove(source);
+                }
+                for target in &intent.targets {
+                    if !master.region_map.borrow().replicas_of(*target).is_empty() {
+                        master.establish_group(*target);
                     }
                 }
             }
         }
     }
 
-    fn split_aborted(&self, server: ServerId, parent: RegionId) {
+    fn restructure_aborted(&self, server: ServerId, first: RegionId) {
         let intent = {
-            let mut intents = self.split_intents.borrow_mut();
-            match intents.get(&parent) {
-                Some(i) if i.server == server => intents.remove(&parent),
+            let mut intents = self.intents.borrow_mut();
+            match intents.get(&first) {
+                Some(i) if i.server == server => intents.remove(&first),
                 _ => None,
             }
         };
         if let Some(intent) = intent {
-            self.rollback_intent(intent);
-        }
-    }
-
-    fn request_merge(&self, server: ServerId, left: RegionId, right: RegionId) {
-        if let Some(master) = self.self_weak.borrow().upgrade() {
-            master.handle_merge_request(server, left, right);
-        }
-    }
-
-    fn merge_completed(&self, server: ServerId, left: RegionId) {
-        // A failover that raced ahead has already rolled the intent back
-        // (and this message came from a now-dead server): ignore.
-        let intent = {
-            let intents = self.merge_intents.borrow();
-            match intents.get(&left) {
-                Some(i) if i.server == server => Some(i.clone()),
-                _ => None,
-            }
-        };
-        let Some(intent) = intent else { return };
-        if self.handled_failures.borrow().contains(&server) {
-            return;
-        }
-        let applied =
-            self.region_map
-                .borrow_mut()
-                .apply_merge(intent.left, intent.right, intent.merged);
-        if !applied {
-            return;
-        }
-        self.merge_intents.borrow_mut().remove(&left);
-        self.merges_applied.inc();
-        self.events
-            .borrow()
-            .record(self.sim.now(), "merge.applied", || {
-                format!(
-                    "left={} right={} merged={}",
-                    intent.left, intent.right, intent.merged
-                )
-            });
-        self.dfs.delete(&format!("/merge/{left}"));
-        self.hooks
-            .borrow()
-            .on_region_merged(intent.left, intent.right, intent.merged);
-    }
-
-    fn merge_aborted(&self, server: ServerId, left: RegionId) {
-        let intent = {
-            let mut intents = self.merge_intents.borrow_mut();
-            match intents.get(&left) {
-                Some(i) if i.server == server => intents.remove(&left),
-                _ => None,
-            }
-        };
-        if let Some(intent) = intent {
-            self.rollback_merge_intent(intent);
+            self.rollback_restructure(intent);
         }
     }
 }

@@ -8,7 +8,7 @@
 //! split ([`RegionMap::apply_split`]) atomically replaces a hot parent
 //! region with two daughters, and clients that route with a stale map get
 //! a `WrongRegion` error telling them to refresh and re-group (see
-//! ARCHITECTURE.md, "Online region splits"). [`RegionMap::from_split_points`]
+//! ARCHITECTURE.md, "Online splits and merges"). [`RegionMap::from_split_points`]
 //! remains the bootstrap path. Region ids are never reused, so a cached id
 //! always means the same key range.
 
@@ -18,102 +18,144 @@ use bytes::Bytes;
 use std::collections::HashMap;
 use std::fmt;
 
-/// The durable record of an in-flight online split, persisted by the
-/// master (at `/split/{parent}` in the filesystem) *before* the hosting
-/// server is told to execute. Failover of a server with an intent
-/// outstanding consults it to either roll the split back (daughters never
-/// went live in the map — always safe, because clients cannot address
-/// daughter ids the map has never shown them) or, once the map flip
-/// happened, recover the daughters directly. Parent and daughters are
-/// never served simultaneously.
+/// Which structural operation a [`RestructureIntent`] describes: a split
+/// replaces one region by two at a key, a merge replaces two adjacent
+/// regions by one spanning both.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum RestructureKind {
+    /// One parent region becomes a bottom and a top daughter.
+    Split,
+    /// Two adjacent regions become one merged region.
+    Merge,
+}
+
+impl RestructureKind {
+    /// The kind's name: the prefix of its metrics and journal events and
+    /// the filesystem directory of its intent records.
+    pub fn name(self) -> &'static str {
+        match self {
+            RestructureKind::Split => "split",
+            RestructureKind::Merge => "merge",
+        }
+    }
+
+    /// The journal detail naming `sources` and then `targets`
+    /// (`region=r1 bottom=r3 top=r4`, `left=r1 right=r2 merged=r3`);
+    /// either may be empty.
+    pub(crate) fn detail(self, sources: &[RegionId], targets: &[RegionId]) -> String {
+        let (source_names, target_names): (&[&str], &[&str]) = match self {
+            RestructureKind::Split => (&["region"], &["bottom", "top"]),
+            RestructureKind::Merge => (&["left", "right"], &["merged"]),
+        };
+        let pairs: Vec<String> = (source_names.iter().zip(sources))
+            .chain(target_names.iter().zip(targets))
+            .map(|(name, id)| format!("{name}={id}"))
+            .collect();
+        pairs.join(" ")
+    }
+}
+
+/// The journal event `<kind>.<step>` (`split.flip`, `merge.flip`) as the
+/// `&'static str` a journal record needs.
+macro_rules! restructure_event {
+    ($kind:expr, $step:literal) => {
+        match $kind {
+            $crate::region::RestructureKind::Split => concat!("split.", $step),
+            $crate::region::RestructureKind::Merge => concat!("merge.", $step),
+        }
+    };
+}
+pub(crate) use restructure_event;
+
+/// The durable record of an in-flight online split or merge, persisted by
+/// the master (at [`RestructureIntent::record_path`] in the filesystem)
+/// *before* the hosting server is told to execute. Failover of a server
+/// with an intent outstanding rolls the operation back while the map has
+/// not flipped (always safe: clients cannot address target ids the map
+/// has never shown them); after the flip the targets recover like any
+/// other region. Sources and targets are never served simultaneously.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct SplitIntent {
-    /// The region being split.
-    pub parent: RegionId,
-    /// The daughter boundary: bottom gets `[start, split_key)`, top gets
-    /// `[split_key, end)`.
-    pub split_key: Bytes,
-    /// The bottom daughter's id.
-    pub bottom: RegionId,
-    /// The top daughter's id.
-    pub top: RegionId,
-    /// The server executing the split.
+pub struct RestructureIntent {
+    /// The regions being replaced, adjacent and in key order: a split's
+    /// parent, or a merge's left and right daughters.
+    pub sources: Vec<RegionId>,
+    /// The keys cutting the sources' combined range between consecutive
+    /// targets: a split's split key; none for a merge.
+    pub boundaries: Vec<Bytes>,
+    /// The replacement regions in key order (one more than the
+    /// boundaries): a split's bottom and top, or the merged region.
+    pub targets: Vec<RegionId>,
+    /// The server executing the operation (it hosts every source).
     pub server: ServerId,
 }
 
-impl SplitIntent {
-    /// Serializes the intent for its filesystem record.
+impl RestructureIntent {
+    /// A single source is a split; several are a merge.
+    pub fn kind(&self) -> RestructureKind {
+        if self.sources.len() == 1 {
+            RestructureKind::Split
+        } else {
+            RestructureKind::Merge
+        }
+    }
+
+    /// Where the master persists the intent: `/split/{parent}` or
+    /// `/merge/{left}`.
+    pub fn record_path(&self) -> String {
+        format!("/{}/{}", self.kind().name(), self.sources[0])
+    }
+
+    /// The targets' descriptors: the sources' combined range (`sources`
+    /// are their descriptors, in key order) cut at the boundaries.
+    pub fn target_descriptors(&self, sources: &[RegionDescriptor]) -> Vec<RegionDescriptor> {
+        let first = sources.first().map(|d| d.start.clone()).unwrap_or_default();
+        let last = sources.last().and_then(|d| d.end.clone());
+        let starts = std::iter::once(first).chain(self.boundaries.iter().cloned());
+        let ends = self.boundaries.iter().cloned().map(Some).chain([last]);
+        self.targets
+            .iter()
+            .zip(starts.zip(ends))
+            .map(|(&id, (start, end))| RegionDescriptor { id, start, end })
+            .collect()
+    }
+
+    /// Serializes the intent for its filesystem record. The two kinds
+    /// keep their own layouts: `parent, split key, bottom, top, server`
+    /// and `left, right, merged, server`.
     pub fn encode(&self) -> Bytes {
         let mut enc = Encoder::new();
-        enc.put_u32(self.parent.0);
-        enc.put_bytes(&self.split_key);
-        enc.put_u32(self.bottom.0);
-        enc.put_u32(self.top.0);
+        enc.put_u32(self.sources[0].0);
+        match self.kind() {
+            RestructureKind::Split => enc.put_bytes(&self.boundaries[0]),
+            RestructureKind::Merge => enc.put_u32(self.sources[1].0),
+        }
+        for target in &self.targets {
+            enc.put_u32(target.0);
+        }
         enc.put_u32(self.server.0);
         enc.finish()
     }
 
-    /// Parses an intent record previously produced by
-    /// [`SplitIntent::encode`].
+    /// Parses a `kind` intent record previously produced by
+    /// [`RestructureIntent::encode`].
     ///
     /// # Errors
     ///
     /// Returns a [`DecodeError`] on truncated or corrupt input.
-    pub fn decode(buf: &[u8]) -> Result<SplitIntent, DecodeError> {
+    pub fn decode(kind: RestructureKind, buf: &[u8]) -> Result<RestructureIntent, DecodeError> {
         let mut dec = Decoder::new(buf);
-        Ok(SplitIntent {
-            parent: RegionId(dec.get_u32()?),
-            split_key: dec.get_bytes()?,
-            bottom: RegionId(dec.get_u32()?),
-            top: RegionId(dec.get_u32()?),
-            server: ServerId(dec.get_u32()?),
-        })
-    }
-}
-
-/// The durable record of an in-flight online merge, persisted by the
-/// master (at `/merge/{left}` in the filesystem) *before* the hosting
-/// server is told to execute — the mirror image of [`SplitIntent`]. Two
-/// adjacent shrunken daughters `left` and `right` collapse into a single
-/// `merged` region spanning their union. Failover of a server with a
-/// merge intent outstanding rolls the merge back when the map never
-/// flipped (clients cannot address the merged id the map has never shown
-/// them); after the flip the merged region recovers like any other.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct MergeIntent {
-    /// The lower-range region being merged (`[start, boundary)`).
-    pub left: RegionId,
-    /// The upper-range region being merged (`[boundary, end)`).
-    pub right: RegionId,
-    /// The merged region's id (`[left.start, right.end)`).
-    pub merged: RegionId,
-    /// The server executing the merge (it must host both daughters).
-    pub server: ServerId,
-}
-
-impl MergeIntent {
-    /// Serializes the intent for its filesystem record.
-    pub fn encode(&self) -> Bytes {
-        let mut enc = Encoder::new();
-        enc.put_u32(self.left.0);
-        enc.put_u32(self.right.0);
-        enc.put_u32(self.merged.0);
-        enc.put_u32(self.server.0);
-        enc.finish()
-    }
-
-    /// Parses an intent record previously produced by
-    /// [`MergeIntent::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] on truncated or corrupt input.
-    pub fn decode(buf: &[u8]) -> Result<MergeIntent, DecodeError> {
-        let mut dec = Decoder::new(buf);
-        Ok(MergeIntent {
-            left: RegionId(dec.get_u32()?),
-            right: RegionId(dec.get_u32()?),
-            merged: RegionId(dec.get_u32()?),
+        let first = RegionId(dec.get_u32()?);
+        let (sources, boundaries, targets) = match kind {
+            RestructureKind::Split => (vec![first], vec![dec.get_bytes()?], 2),
+            RestructureKind::Merge => (vec![first, RegionId(dec.get_u32()?)], Vec::new(), 1),
+        };
+        let targets = (0..targets)
+            .map(|_| dec.get_u32().map(RegionId))
+            .collect::<Result<_, _>>()?;
+        Ok(RestructureIntent {
+            sources,
+            boundaries,
+            targets,
             server: ServerId(dec.get_u32()?),
         })
     }
@@ -138,6 +180,17 @@ impl RegionDescriptor {
                 Some(end) => row < &end[..],
                 None => true,
             }
+    }
+
+    /// Whether `key` cuts this region into two non-empty ranges (it lies
+    /// strictly inside), as a split key must.
+    pub fn splits_at(&self, key: &[u8]) -> bool {
+        key > &self.start[..] && self.contains(key)
+    }
+
+    /// Whether `next` starts exactly where this region ends.
+    pub fn precedes(&self, next: &RegionDescriptor) -> bool {
+        self.end.as_deref() == Some(&next.start[..])
     }
 }
 
@@ -362,9 +415,7 @@ impl RegionMap {
             return false;
         };
         let desc = self.regions[idx].clone();
-        let inside = split_key[..] > desc.start[..]
-            && desc.end.as_ref().map(|e| split_key < e).unwrap_or(true);
-        if !inside {
+        if !desc.splits_at(split_key) {
             return false;
         }
         self.regions[idx] = RegionDescriptor {
@@ -414,11 +465,7 @@ impl RegionMap {
         }
         let l = self.regions[idx].clone();
         let r = self.regions[idx + 1].clone();
-        debug_assert_eq!(
-            l.end.as_deref(),
-            Some(&r.start[..]),
-            "map regions contiguous"
-        );
+        debug_assert!(l.precedes(&r), "map regions contiguous");
         self.regions[idx] = RegionDescriptor {
             id: merged,
             start: l.start,
@@ -437,6 +484,21 @@ impl RegionMap {
         self.replicas.remove(&right);
         self.epoch += 1;
         true
+    }
+
+    /// Applies a completed split or merge through
+    /// [`RegionMap::apply_split`] or [`RegionMap::apply_merge`]; returns
+    /// whether the map changed.
+    pub fn apply_restructure(&mut self, intent: &RestructureIntent) -> bool {
+        match (
+            &intent.sources[..],
+            &intent.boundaries[..],
+            &intent.targets[..],
+        ) {
+            ([parent], [key], [bottom, top]) => self.apply_split(*parent, key, *bottom, *top),
+            ([left, right], [], [merged]) => self.apply_merge(*left, *right, *merged),
+            _ => false,
+        }
     }
 
     /// The largest region id in the map (`None` when empty) — the master
@@ -648,30 +710,29 @@ mod tests {
     }
 
     #[test]
-    fn merge_intent_roundtrip() {
-        let intent = MergeIntent {
-            left: RegionId(10),
-            right: RegionId(11),
-            merged: RegionId(12),
-            server: ServerId(2),
-        };
-        let back = MergeIntent::decode(&intent.encode()).expect("decode");
-        assert_eq!(back, intent);
-        assert!(MergeIntent::decode(&intent.encode()[..3]).is_err());
-    }
-
-    #[test]
-    fn split_intent_roundtrip() {
-        let intent = SplitIntent {
-            parent: RegionId(4),
-            split_key: Bytes::from_static(b"user000000000033"),
-            bottom: RegionId(10),
-            top: RegionId(11),
+    fn intent_roundtrip() {
+        let split = RestructureIntent {
+            sources: vec![RegionId(4)],
+            boundaries: vec![Bytes::from_static(b"user000000000033")],
+            targets: vec![RegionId(10), RegionId(11)],
             server: ServerId(1),
         };
-        let back = SplitIntent::decode(&intent.encode()).expect("decode");
-        assert_eq!(back, intent);
-        assert!(SplitIntent::decode(&intent.encode()[..3]).is_err());
+        let merge = RestructureIntent {
+            sources: vec![RegionId(10), RegionId(11)],
+            boundaries: Vec::new(),
+            targets: vec![RegionId(12)],
+            server: ServerId(2),
+        };
+        for (intent, kind, path) in [
+            (split, RestructureKind::Split, "/split/r4"),
+            (merge, RestructureKind::Merge, "/merge/r10"),
+        ] {
+            assert_eq!(intent.kind(), kind);
+            assert_eq!(intent.record_path(), path);
+            let back = RestructureIntent::decode(kind, &intent.encode()).expect("decode");
+            assert_eq!(back, intent);
+            assert!(RestructureIntent::decode(kind, &intent.encode()[..3]).is_err());
+        }
     }
 
     #[test]
